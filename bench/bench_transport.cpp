@@ -12,13 +12,22 @@
 // in-process oracle (`values_match` — the sweep's correctness gate),
 // kills delivered, rebirths, and the hub's frame-level fault counters.
 //
+// A second, fault-free sweep grows the program instead: `top_level`
+// 512..4096 transactions (dist_unix's shape — 256 objects, k = 3) on the
+// in-process runner and on unix-socket rnt_node processes, reporting
+// wall ms per run and the growth exponent log2(t(n) / t(n/2)) between
+// consecutive sizes (1 = linear in program size, 2 = quadratic).
+//
 // Emits one JSON document on stdout — the committed artifact
 // bench/e16_transport.json (generated with --sweep_json). --smoke runs
-// one fault-free seed per backend, which still forks real rnt_node
-// processes over both socket families: the bench-smoke cell proves the
-// whole supervisor/hub/node stack end to end on every tier-1 run.
+// one fault-free seed per backend and the smallest size-sweep point,
+// which still forks real rnt_node processes over both socket families:
+// the bench-smoke cell proves the whole supervisor/hub/node stack end to
+// end on every tier-1 run.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -261,6 +270,85 @@ bool RunCell(Backend backend, double rate, int seeds,
   return true;
 }
 
+/// The size sweep's program: dist_unix's shape at `top_level`.
+rnt::sim::ProgramSpec SizedSpec(std::uint32_t top_level) {
+  rnt::sim::ProgramSpec spec;
+  spec.seed = 7919;
+  spec.top_level = top_level;
+  spec.objects = 256;
+  spec.k = 3;
+  return spec;
+}
+
+struct SizePoint {
+  std::uint32_t top_level = 0;
+  double inprocess_ms = 0;
+  double unix_ms = 0;
+  bool values_match = true;
+};
+
+/// One fault-free run per backend at `top_level`, median of `reps`
+/// repetitions each. Returns false on a harness failure.
+bool RunSizePoint(std::uint32_t top_level, int reps,
+                  const std::string& node_binary, SizePoint* out) {
+  const rnt::sim::ProgramSpec spec = SizedSpec(top_level);
+  rnt::action::ActionRegistry reg = spec.BuildRegistry();
+  rnt::dist::Topology topo =
+      rnt::dist::Topology::RoundRobin(&reg, static_cast<NodeId>(spec.k));
+  rnt::dist::DistAlgebra alg(&topo);
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  SizePoint pt;
+  pt.top_level = top_level;
+  std::vector<Value> oracle;
+  std::vector<double> inprocess_ms;
+  std::vector<double> unix_ms;
+  for (int r = 0; r < reps; ++r) {
+    rnt::sim::ParallelOptions opt;
+    opt.record_events = false;
+    const auto t0 = std::chrono::steady_clock::now();
+    auto run = rnt::sim::RunParallel(alg, opt);
+    inprocess_ms.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+    if (!run.ok() || !run->complete) {
+      std::fprintf(stderr, "size sweep: in-process run failed at %u\n",
+                   top_level);
+      return false;
+    }
+    oracle = HomeValues(spec, topo, run->final_state);
+
+    ScratchDir dir;
+    if (dir.path.empty()) {
+      std::fprintf(stderr, "mkdtemp failed\n");
+      return false;
+    }
+    rnt::sim::SupervisorOptions sopt;
+    sopt.spec = spec;
+    sopt.node_binary = node_binary;
+    sopt.dir = dir.path;
+    sopt.backend = rnt::sim::SocketHub::Backend::kUnix;
+    const auto t1 = std::chrono::steady_clock::now();
+    auto mp = rnt::sim::RunMultiProcess(sopt);
+    unix_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t1)
+                          .count());
+    if (!mp.ok()) {
+      std::fprintf(stderr, "size sweep: unix run failed at %u: %s\n",
+                   top_level, mp.status().ToString().c_str());
+      return false;
+    }
+    pt.values_match = pt.values_match && mp->complete &&
+                      HomeValues(spec, topo, mp->final_state) == oracle;
+  }
+  pt.inprocess_ms = median(inprocess_ms);
+  pt.unix_ms = median(unix_ms);
+  *out = pt;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -302,6 +390,27 @@ int main(int argc, char** argv) {
       all_match = all_match && pt.values_match && pt.complete;
     }
     std::printf("]}");
+  }
+  std::printf("],\"size_sweep\":[");
+  const std::vector<std::uint32_t> sizes =
+      smoke ? std::vector<std::uint32_t>{512}
+            : std::vector<std::uint32_t>{512, 1024, 2048, 4096};
+  SizePoint prev;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    SizePoint pt;
+    if (!RunSizePoint(sizes[i], smoke ? 1 : 5, node_binary, &pt)) return 1;
+    // Growth exponent against the previous (half-size) point.
+    const double inprocess_exp =
+        i == 0 ? 0 : std::log2(pt.inprocess_ms / prev.inprocess_ms);
+    const double unix_exp = i == 0 ? 0 : std::log2(pt.unix_ms / prev.unix_ms);
+    std::printf(
+        "%s{\"top_level\":%u,\"inprocess_ms\":%.2f,\"unix_ms\":%.2f,"
+        "\"inprocess_exponent\":%.2f,\"unix_exponent\":%.2f,"
+        "\"values_match\":%s}",
+        i == 0 ? "" : ",", pt.top_level, pt.inprocess_ms, pt.unix_ms,
+        inprocess_exp, unix_exp, pt.values_match ? "true" : "false");
+    all_match = all_match && pt.values_match;
+    prev = pt;
   }
   std::printf("]}\n");
   // The sweep doubles as a correctness gate: a cell whose values diverge

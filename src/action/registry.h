@@ -34,6 +34,7 @@ class ActionRegistry {
     // The virtual root U.
     nodes_.push_back(Node{kInvalidAction, /*depth=*/0, /*object=*/0,
                           Update::Read(), /*is_access=*/false});
+    children_.emplace_back();
   }
 
   /// Registers a non-access (inner) action under `parent`.
@@ -42,7 +43,7 @@ class ActionRegistry {
     assert(!nodes_[parent].is_access && "accesses are leaves");
     nodes_.push_back(Node{parent, nodes_[parent].depth + 1, /*object=*/0,
                           Update::Read(), /*is_access=*/false});
-    return static_cast<ActionId>(nodes_.size() - 1);
+    return Link(parent);
   }
 
   /// Registers an access (leaf) to `object` applying `update`.
@@ -56,7 +57,7 @@ class ActionRegistry {
     nodes_.push_back(
         Node{parent, nodes_[parent].depth + 1, object, update,
              /*is_access=*/true});
-    return static_cast<ActionId>(nodes_.size() - 1);
+    return Link(parent);
   }
 
   std::size_t size() const { return nodes_.size(); }
@@ -72,6 +73,15 @@ class ActionRegistry {
   std::uint32_t Depth(ActionId a) const {
     assert(Valid(a));
     return nodes_[a].depth;
+  }
+
+  /// The children of `a` in id order (registration order) — the
+  /// universal tree's child lists, kept as an index so per-action
+  /// questions (precondition b12, subtree walks) cost O(children) instead
+  /// of a scan of every registered action.
+  const std::vector<ActionId>& Children(ActionId a) const {
+    assert(Valid(a));
+    return children_[a];
   }
 
   bool IsAccess(ActionId a) const {
@@ -146,7 +156,16 @@ class ActionRegistry {
     bool is_access;
   };
 
+  /// Indexes the just-pushed node under `parent`; returns its id.
+  ActionId Link(ActionId parent) {
+    const auto id = static_cast<ActionId>(nodes_.size() - 1);
+    children_.emplace_back();
+    children_[parent].push_back(id);
+    return id;
+  }
+
   std::vector<Node> nodes_;
+  std::vector<std::vector<ActionId>> children_;  // by ActionId, id order
 };
 
 /// Initial value of every object: the library-wide convention is

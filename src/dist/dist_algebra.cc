@@ -4,32 +4,21 @@
 
 namespace rnt::dist {
 
-namespace {
-
-/// children(A) ∩ summary.vertices ⊆ summary.done (precondition b12),
-/// evaluated against the universal tree in the registry.
 bool LocalChildrenDone(const action::ActionRegistry& reg,
                        const ActionSummary& summary, ActionId a) {
-  for (const auto& [c, s] : summary.entries()) {
-    if (c != kRootAction && reg.Parent(c) == a &&
-        s == action::ActionStatus::kActive) {
-      return false;
-    }
+  for (ActionId c : reg.Children(a)) {
+    if (summary.IsActive(c)) return false;
   }
   return true;
 }
 
-/// anc(A) ∩ summary.aborted ≠ ∅ (precondition f12 at this level: the node
-/// only needs *local* knowledge that some ancestor aborted).
 bool LocallyDead(const action::ActionRegistry& reg,
                  const ActionSummary& summary, ActionId a) {
-  for (ActionId c : reg.AncestorChain(a)) {
-    if (c != kRootAction && summary.IsAborted(c)) return true;
+  for (; a != kRootAction; a = reg.Parent(a)) {
+    if (summary.IsAborted(a)) return true;
   }
   return false;
 }
-
-}  // namespace
 
 bool DistAlgebra::Defined(const State& s, const Event& e) const {
   const action::ActionRegistry& reg = topo_->registry();

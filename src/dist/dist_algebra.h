@@ -94,6 +94,20 @@ struct DistState {
   friend bool operator==(const DistState&, const DistState&) = default;
 };
 
+/// children(A) ∩ summary.vertices ⊆ summary.done — precondition (b12),
+/// judged against the universal tree. Walks only the children of `a`
+/// (the registry's child index), so a commit check costs O(children),
+/// not O(|summary|).
+bool LocalChildrenDone(const action::ActionRegistry& reg,
+                       const ActionSummary& summary, ActionId a);
+
+/// anc(A) ∩ summary.aborted ≠ ∅ — precondition (f12) at this level: a
+/// node only needs *local* knowledge that some ancestor (or `a` itself)
+/// aborted. Walks parent pointers; allocation-free. The one copy every
+/// ℬ runtime shares.
+bool LocallyDead(const action::ActionRegistry& reg,
+                 const ActionSummary& summary, ActionId a);
+
 /// Level 5: the distributed algebra ℬ (paper §9), a slightly simplified
 /// Moss algorithm (no read/write distinction) running on k nodes plus a
 /// message system. Each event's precondition consults only its doer's

@@ -50,6 +50,20 @@ class ActionSummary {
            it->second != action::ActionStatus::kActive;
   }
 
+  /// True iff this summary already implies knowing (a, s): `a` is present
+  /// at status `s`, or `s` is 'active' (a done status implies it).
+  bool Covers(ActionId a, action::ActionStatus s) const {
+    auto it = entries_.find(a);
+    return it != entries_.end() &&
+           (it->second == s || s == action::ActionStatus::kActive);
+  }
+
+  /// Appends (a, s) where `a` is larger than every id present — the O(1)
+  /// build path for sub-summaries assembled in id order.
+  void AppendLargest(ActionId a, action::ActionStatus s) {
+    entries_.emplace_hint(entries_.end(), a, s);
+  }
+
   /// Adds `a` with status 'active'.
   void AddActive(ActionId a) {
     entries_.emplace(a, action::ActionStatus::kActive);
@@ -64,22 +78,30 @@ class ActionSummary {
   /// the merge changed this summary — callers use it to detect whether a
   /// delivery taught the node anything new.
   bool MergeFrom(const ActionSummary& other) {
-    bool changed = false;
+    return MergeFrom(other, nullptr);
+  }
+
+  /// As above, and appends to `*changed` (when non-null) the id of every
+  /// entry the merge added or upgraded, in id order — what a change-
+  /// driven node loop needs to wake dependent work and to ship deltas.
+  bool MergeFrom(const ActionSummary& other, std::vector<ActionId>* changed) {
+    bool any = false;
     auto hint = entries_.begin();
     for (const auto& [a, s] : other.entries_) {
       hint = entries_.lower_bound(a);
       if (hint != entries_.end() && hint->first == a) {
-        if (hint->second == action::ActionStatus::kActive &&
-            s != action::ActionStatus::kActive) {
-          hint->second = s;
-          changed = true;
+        if (hint->second != action::ActionStatus::kActive ||
+            s == action::ActionStatus::kActive) {
+          continue;
         }
+        hint->second = s;
       } else {
         hint = entries_.emplace_hint(hint, a, s);
-        changed = true;
       }
+      any = true;
+      if (changed != nullptr) changed->push_back(a);
     }
-    return changed;
+    return any;
   }
 
   /// Move form of MergeFrom for the message hop into the buffer: when this

@@ -35,12 +35,7 @@ class ChaosDriver {
         injector_(options.plan),
         state_(alg.Initial()),
         val_alg_(&alg.registry()),
-        val_state_(val_alg_.Initial()),
-        children_(reg_.size()) {
-    for (ActionId a = 1; a < reg_.size(); ++a) {
-      children_[reg_.Parent(a)].push_back(a);
-    }
-  }
+        val_state_(val_alg_.Initial()) {}
 
   StatusOr<ChaosRun> Run() {
     RNT_RETURN_IF_ERROR(faults::ValidatePlan(options_.plan, topo_.k()));
@@ -338,7 +333,7 @@ class ChaosDriver {
   Status StepOnce() {
     if (mode_ == Mode::kExec) {
       if (stack_.empty()) {
-        const std::vector<ActionId>& tops = children_[kRootAction];
+        const std::vector<ActionId>& tops = reg_.Children(kRootAction);
         if (next_top_ < tops.size()) {
           PushFrame(tops[next_top_++]);
         } else {
@@ -406,7 +401,7 @@ class ChaosDriver {
         return Status::Ok();
       }
       case Frame::Stage::kChildren: {
-        const std::vector<ActionId>& kids = children_[f.a];
+        const std::vector<ActionId>& kids = reg_.Children(f.a);
         if (f.next_child < kids.size()) {
           ActionId c = kids[f.next_child++];
           PushFrame(c);  // invalidates f
@@ -427,7 +422,7 @@ class ChaosDriver {
         // level-4 commit needs *every* created child done — and the home
         // knows every child exists (children are created at the parent's
         // home), so insisting on done statuses here costs no generality.
-        for (ActionId c : children_[f.a]) {
+        for (ActionId c : reg_.Children(f.a)) {
           if (!created_at_.count(c)) continue;
           if (!t.IsDone(c)) {
             RequestKnowledge(c, home, /*need_done=*/true);
@@ -528,7 +523,6 @@ class ChaosDriver {
   dist::DistState state_;
   valuemap::ValueMapAlgebra val_alg_;
   valuemap::ValState val_state_;
-  std::vector<std::vector<ActionId>> children_;
   std::vector<DistEvent> events_;
 
   Mode mode_ = Mode::kExec;

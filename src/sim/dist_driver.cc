@@ -31,11 +31,7 @@ class Driver {
         topo_(alg.topology()),
         reg_(alg.registry()),
         options_(options),
-        state_(alg.Initial()),
-        children_(reg_.size()) {
-    for (ActionId a = 1; a < reg_.size(); ++a) {
-      children_[reg_.Parent(a)].push_back(a);
-    }
+        state_(alg.Initial()) {
     if (options_.propagation == Propagation::kDelta) {
       shipped_.resize(topo_.k(),
                       std::vector<dist::ActionSummary>(topo_.k()));
@@ -49,7 +45,7 @@ class Driver {
             "abort_set must contain registered non-access actions");
       }
     }
-    for (ActionId top : children_[kRootAction]) {
+    for (ActionId top : reg_.Children(kRootAction)) {
       RNT_RETURN_IF_ERROR(Visit(top));
     }
     // Final drain: walk remaining locks up to the root U everywhere.
@@ -140,7 +136,7 @@ class Driver {
       return Status::Ok();
     }
 
-    for (ActionId c : children_[a]) {
+    for (ActionId c : reg_.Children(a)) {
       RNT_RETURN_IF_ERROR(Visit(c));
     }
 
@@ -148,7 +144,7 @@ class Driver {
     // completion.
     NodeId home = topo_.HomeOfAction(a);
     if (!state_.nodes[home].summary.Contains(a)) Sync(origin, home);
-    for (ActionId c : children_[a]) {
+    for (ActionId c : reg_.Children(a)) {
       if (state_.nodes[home].summary.IsActive(c)) {
         Sync(StatusAuthority(c), home);
       }
@@ -236,7 +232,6 @@ class Driver {
   const action::ActionRegistry& reg_;
   const DriverOptions& options_;
   DistState state_;
-  std::vector<std::vector<ActionId>> children_;
   /// kDelta only: shipped_[i][j] = everything i has already sent to j.
   std::vector<std::vector<dist::ActionSummary>> shipped_;
   std::map<ActionId, NodeId> created_at_;

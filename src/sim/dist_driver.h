@@ -45,6 +45,11 @@ struct DriverStats {
   std::uint64_t releases = 0;
   std::uint64_t loses = 0;
   int rounds = 0;
+  /// Create/abort/commit obligations the concurrent runtimes took off
+  /// their wake queues and re-judged. Change-driven scheduling keeps it
+  /// linear in the work done (events + obligations), not in passes ×
+  /// pending obligations; zero for the sequential drivers.
+  std::uint64_t obligations_examined = 0;
 
   // Fault-handling counters, filled by the chaos driver (always zero for
   // the failure-free RunProgram). Mirrored into txn::FaultStats via

@@ -1,19 +1,17 @@
 #include "sim/node_runtime.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <utility>
 #include <variant>
 #include <vector>
-
-#include <poll.h>
 
 #include "action/registry.h"
 #include "dist/dist_algebra.h"
 #include "dist/summary.h"
 #include "dist/topology.h"
 #include "sim/event_log.h"
+#include "sim/node_core.h"
 #include "sim/socket_transport.h"
 #include "sim/wire.h"
 #include "storage/retention_log.h"
@@ -26,19 +24,6 @@ using dist::ActionSummary;
 using dist::DistAlgebra;
 using dist::DistEvent;
 using dist::DistState;
-
-/// anc(A) ∩ summary.aborted ≠ ∅ from local knowledge — the same
-/// lose-lock precondition (f12) judgment as the in-process runner.
-bool LocallyDead(const action::ActionRegistry& reg, const ActionSummary& t,
-                 ActionId a) {
-  for (ActionId c : reg.AncestorChain(a)) {
-    if (c != kRootAction && t.IsAborted(c)) return true;
-  }
-  return false;
-}
-
-/// Liveness-only pacing; never semantics (outcomes are replay-certified).
-void PauseMs(int ms) { (void)::poll(nullptr, 0, ms); }
 
 /// One ℬ node running as a whole OS process. This is the in-process
 /// ParallelRunner's per-node loop (parallel_runner.cc) transplanted
@@ -58,7 +43,7 @@ void PauseMs(int ms) { (void)::poll(nullptr, 0, ms); }
 ///    process cannot be trusted to drop its own frames once kill -9 is
 ///    real) — the node only *reacts*: held delayed messages, reconnects,
 ///    anti-entropy rebroadcasts, give-up.
-class NodeRuntime {
+class NodeRuntime final : NodeCore::Host {
  public:
   explicit NodeRuntime(const NodeRuntimeOptions& options)
       : options_(options),
@@ -66,7 +51,7 @@ class NodeRuntime {
         topo_(dist::Topology::RoundRobin(&reg_, options.spec.k)),
         alg_(&topo_),
         state_(alg_.Initial()),
-        children_(reg_.size()) {}
+        core_(alg_, options.node, &state_, this, &stats_) {}
 
   Status Run() {
     RNT_RETURN_IF_ERROR(Plan());
@@ -77,58 +62,13 @@ class NodeRuntime {
   }
 
  private:
-  struct ObjectWork {
-    ObjectId x = 0;
-    std::vector<ActionId> tickets;
-    std::size_t next = 0;
-    bool drained = false;
-  };
-
-  /// Same one-DFS planning as the in-process runner (children in id
-  /// order — the sequential driver's schedule), restricted to this
-  /// node's obligations. No static abort set here: aborts come only
-  /// from the timeout watchdog.
+  /// The node's obligations (node_core.h). No static abort set here:
+  /// aborts come only from the timeout watchdog.
   Status Plan() {
     if (options_.node >= topo_.k()) {
       return Status::InvalidArgument("node id out of range");
     }
-    for (ActionId a = 1; a < reg_.size(); ++a) {
-      children_[reg_.Parent(a)].push_back(a);
-    }
-    created_.assign(reg_.size(), 0);
-    shipped_.resize(topo_.k());
-    shipped_version_.assign(topo_.k(), 0);
-    std::map<ObjectId, std::vector<ActionId>> tickets;
-    std::vector<std::pair<ActionId, bool>> stack;
-    for (auto it = children_[kRootAction].rbegin();
-         it != children_[kRootAction].rend(); ++it) {
-      stack.emplace_back(*it, false);
-    }
-    while (!stack.empty()) {
-      auto [a, expanded] = stack.back();
-      stack.pop_back();
-      if (expanded) {
-        if (topo_.HomeOfAction(a) == options_.node) commits_.push_back(a);
-        continue;
-      }
-      if (topo_.Origin(a) == options_.node) creates_.push_back(a);
-      if (reg_.IsAccess(a)) {
-        tickets[reg_.Object(a)].push_back(a);
-        continue;
-      }
-      stack.emplace_back(a, true);
-      for (auto it = children_[a].rbegin(); it != children_[a].rend(); ++it) {
-        stack.emplace_back(*it, false);
-      }
-    }
-    for (auto& [x, list] : tickets) {
-      if (topo_.HomeOfObject(x) != options_.node) continue;
-      ObjectWork ow;
-      ow.x = x;
-      ow.tickets = std::move(list);
-      objects_.push_back(std::move(ow));
-    }
-    done_flag_.assign(commits_.size(), 0);
+    core_.Plan({});
     next_retry_idle_ =
         static_cast<std::uint64_t>(std::max(1, options_.stall_retry_spins));
     return Status::Ok();
@@ -196,7 +136,7 @@ class NodeRuntime {
         alg_.Apply(state_, recv);
         if (!Record(std::move(recv))) return err_;
       }
-      RebuildCursors();
+      core_.Recover();
     }
     HelloFrame hello;
     hello.node = options_.node;
@@ -213,33 +153,6 @@ class NodeRuntime {
     return Status::Ok();
   }
 
-  /// Obligation cursors from recovered knowledge, exactly as the
-  /// in-process Recover: a performed access carries committed status
-  /// (effect (d21)), so ticket cursors are recoverable from the summary.
-  void RebuildCursors() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (ActionId a : creates_) {
-      created_[a] = (t.Contains(a) || LocallyDead(reg_, t, a)) ? 1 : 0;
-    }
-    next_create_ = 0;
-    while (next_create_ < creates_.size() &&
-           created_[creates_[next_create_]]) {
-      ++next_create_;
-    }
-    for (std::size_t i = 0; i < commits_.size(); ++i) {
-      done_flag_[i] = t.IsDone(commits_[i]) ? 1 : 0;
-    }
-    for (ObjectWork& ow : objects_) {
-      ow.next = 0;
-      while (ow.next < ow.tickets.size() &&
-             (t.IsCommitted(ow.tickets[ow.next]) ||
-              LocallyDead(reg_, t, ow.tickets[ow.next]))) {
-        ++ow.next;
-      }
-      ow.drained = false;  // re-walk the durable lock table
-    }
-  }
-
   // ----------------------------------------------------------------
   // Event loop.
 
@@ -248,12 +161,9 @@ class NodeRuntime {
       ++passes_;
       bool progress = false;
       progress |= DeliverMail();
-      progress |= TryCreates();
-      progress |= TryAborts();
-      progress |= TryObjects();
-      progress |= TryCommits();
+      progress |= core_.Work();
       if (!err_.ok()) return err_;
-      if (!marked_done_ && LocalDone()) {
+      if (!marked_done_ && core_.Done()) {
         marked_done_ = true;
         progress = true;
         // Liveness-only signal: a lost heartbeat is re-sent next pass.
@@ -291,7 +201,9 @@ class NodeRuntime {
         if (idle_ > 10 * options_.max_idle_spins) {
           break;  // supervisor unreachable for good; exit on our own
         }
-        if (idle_ > 8) PauseMs(1);  // single-core friendliness
+        // Single-core friendliness: park on the link for at most 1 ms;
+        // an arriving frame wakes the node at once.
+        if (idle_ > 8) transport_->WaitReadable(/*timeout_ms=*/1);
       }
     }
     // Bounded rebirth: leave the retention log compacted, so the next
@@ -325,62 +237,11 @@ class NodeRuntime {
     (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
         Heartbeat());
     if (!marked_done_ && attempts_ > options_.max_attempts_per_step) {
-      if (TimeoutAbort()) attempts_ = 0;
+      if (core_.TimeoutAbort()) attempts_ = 0;
     }
     const std::uint64_t base = static_cast<std::uint64_t>(
         std::max(1, options_.stall_retry_spins));
     next_retry_idle_ = idle_ + (base << std::min(attempts_, 5));
-  }
-
-  bool TimeoutAbort() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (ObjectWork& ow : objects_) {  // stuck lock holders first
-      if (ow.next >= ow.tickets.size()) continue;
-      ActionId requester = ow.tickets[ow.next];
-      if (!t.IsActive(requester)) continue;
-      const auto* entry = state_.nodes[options_.node].vmap.EntriesFor(ow.x);
-      if (entry == nullptr) continue;
-      for (const auto& [b, v] : *entry) {
-        if (b == kRootAction || reg_.IsProperAncestor(b, requester)) continue;
-        if (LocallyDead(reg_, t, b) || t.IsCommitted(b)) break;  // walkable
-        if (AbortAncestorHomedHere(b, requester)) return true;
-        break;
-      }
-    }
-    // Own path: commits are in DFS post-order, so the first pending
-    // entry is the deepest unfinished subtransaction homed here.
-    for (std::size_t i = 0; i < commits_.size(); ++i) {
-      if (done_flag_[i]) continue;
-      ActionId a = commits_[i];
-      if (!t.IsActive(a)) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeAbort{options_.node, a}})) {
-        return false;
-      }
-      done_flag_[i] = 1;
-      return true;
-    }
-    return false;
-  }
-
-  bool AbortAncestorHomedHere(ActionId blocker, ActionId requester) {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (ActionId c : reg_.AncestorChain(blocker)) {
-      if (c == kRootAction || reg_.IsAccess(c)) continue;
-      if (reg_.IsAncestor(c, requester)) continue;
-      if (topo_.HomeOfAction(c) != options_.node) continue;
-      if (!t.IsActive(c)) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeAbort{options_.node, c}})) {
-        return false;
-      }
-      for (std::size_t i = 0; i < commits_.size(); ++i) {
-        if (commits_[i] == c) {
-          done_flag_[i] = 1;
-          break;
-        }
-      }
-      return true;
-    }
-    return false;
   }
 
   /// Stamps and durably traces one event. False latches err_.
@@ -420,7 +281,7 @@ class NodeRuntime {
   /// in-process ApplyNodeEvent: summary-changing events are followed by
   /// a one-entry Send{i,i} (traced, then retained) so M_i stays a
   /// durable superset of the node's acted-on knowledge.
-  bool ApplyNodeEvent(DistEvent e) {
+  bool ApplyNodeEvent(DistEvent e) override {
     ActionId wal_a = kInvalidAction;
     action::ActionStatus wal_s = action::ActionStatus::kActive;
     if (const auto* c = std::get_if<dist::NodeCreate>(&e)) {
@@ -441,7 +302,6 @@ class NodeRuntime {
       return false;
     }
     alg_.Apply(state_, e);
-    ++version_;
     if (!Record(std::move(e))) return false;
     if (wal_a != kInvalidAction) {
       ActionSummary entry;
@@ -464,6 +324,7 @@ class NodeRuntime {
   bool DeliverMail() {
     bool progress = false;
     std::vector<TransportMessage> due;
+    std::vector<ActionId> learned;
     for (TransportMessage& m : held_) {
       if (--m.delay <= 0) due.push_back(std::move(m));
     }
@@ -487,169 +348,24 @@ class NodeRuntime {
         return progress;
       }
       // The sender certainly knows what it sent; suppress echo traffic.
-      shipped_[m.from].MergeFrom(m.summary);
-      if (state_.nodes[options_.node].summary.MergeFrom(
-              std::move(m.summary))) {
-        ++version_;
+      core_.Covered(m.from, m.summary);
+      learned.clear();
+      if (state_.nodes[options_.node].summary.MergeFrom(m.summary,
+                                                        &learned)) {
+        core_.Learned(learned);
         progress = true;
       }
     }
     return progress;
-  }
-
-  bool TryCreates() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    bool progress = false;
-    for (std::size_t idx = next_create_; idx < creates_.size(); ++idx) {
-      ActionId a = creates_[idx];
-      if (created_[a]) continue;
-      if (LocallyDead(reg_, t, a)) {
-        created_[a] = 1;  // resolved by never running (dead subtree)
-        progress = true;
-        continue;
-      }
-      ActionId p = reg_.Parent(a);
-      if (p != kRootAction && (!t.Contains(p) || t.IsCommitted(p))) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeCreate{options_.node, a}})) {
-        return progress;
-      }
-      created_[a] = 1;
-      progress = true;
-    }
-    while (next_create_ < creates_.size() &&
-           created_[creates_[next_create_]]) {
-      ++next_create_;
-    }
-    return progress;
-  }
-
-  bool TryAborts() {
-    // No static abort set in the multi-process runner; aborts originate
-    // from the watchdog only. Kept as a loop stage for symmetry with the
-    // in-process runner (and for future planned-abort support).
-    return false;
-  }
-
-  bool TryCommits() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    bool progress = false;
-    for (std::size_t i = 0; i < commits_.size(); ++i) {
-      if (done_flag_[i]) continue;
-      ActionId a = commits_[i];
-      if (!t.IsActive(a)) continue;
-      // Strengthened (b12): every child created *and* done in local
-      // knowledge (children are created on this very node).
-      bool ready = true;
-      for (ActionId c : children_[a]) {
-        if (!created_[c] || !t.IsDone(c)) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeCommit{options_.node, a}})) {
-        return progress;
-      }
-      done_flag_[i] = 1;
-      progress = true;
-    }
-    return progress;
-  }
-
-  bool TryObjects() {
-    bool progress = false;
-    for (ObjectWork& ow : objects_) {
-      if (ow.next < ow.tickets.size()) {
-        ActionId a = ow.tickets[ow.next];
-        if (LocallyDead(reg_, state_.nodes[options_.node].summary, a)) {
-          ++ow.next;  // orphaned ticket; keep the queue moving
-          progress = true;
-          continue;
-        }
-        if (!state_.nodes[options_.node].summary.IsActive(a)) continue;
-        if (!WalkLocks(ow.x, a, &progress)) continue;  // still blocked
-        Value u =
-            state_.nodes[options_.node].vmap.PrincipalValue(ow.x, reg_);
-        if (!ApplyNodeEvent(
-                DistEvent{dist::NodePerform{options_.node, a, u}})) {
-          return progress;
-        }
-        ++ow.next;
-        progress = true;
-      } else if (!ow.drained) {
-        if (WalkLocks(ow.x, kInvalidAction, &progress)) {
-          ow.drained = true;
-          progress = true;
-        }
-      }
-    }
-    return progress;
-  }
-
-  bool WalkLocks(ObjectId x, ActionId requester, bool* progress) {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (;;) {
-      const auto* entry = state_.nodes[options_.node].vmap.EntriesFor(x);
-      if (entry == nullptr) return true;
-      ActionId blocker = kInvalidAction;
-      for (const auto& [b, v] : *entry) {
-        if (b != kRootAction &&
-            (requester == kInvalidAction ||
-             !reg_.IsProperAncestor(b, requester))) {
-          blocker = b;
-          break;
-        }
-      }
-      if (blocker == kInvalidAction) return true;
-      if (LocallyDead(reg_, t, blocker)) {
-        if (!ApplyNodeEvent(
-                DistEvent{dist::NodeLoseLock{options_.node, blocker, x}})) {
-          return false;
-        }
-        *progress = true;
-      } else if (t.IsCommitted(blocker)) {
-        if (!ApplyNodeEvent(DistEvent{
-                dist::NodeReleaseLock{options_.node, blocker, x}})) {
-          return false;
-        }
-        *progress = true;
-      } else {
-        return false;  // knowledge not here yet; broadcasts bring it
-      }
-    }
-  }
-
-  bool LocalDone() const {
-    if (next_create_ < creates_.size()) return false;
-    for (char f : done_flag_) {
-      if (!f) return false;
-    }
-    for (const ObjectWork& ow : objects_) {
-      if (ow.next < ow.tickets.size() || !ow.drained) return false;
-    }
-    return true;
   }
 
   // ----------------------------------------------------------------
   // Knowledge shipping.
 
   void Flush() {
-    const NodeId k = topo_.k();
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    if (t.empty()) return;
-    for (NodeId j = 0; j < k; ++j) {
-      if (j == options_.node) continue;
-      if (options_.propagation == Propagation::kDelta) {
-        ActionSummary delta = t.DeltaSince(shipped_[j]);
-        if (delta.empty()) continue;
-        shipped_[j].MergeFrom(delta);
-        Transmit(j, std::move(delta));
-      } else {  // kEager
-        if (shipped_version_[j] == version_) continue;
-        shipped_version_[j] = version_;
-        Transmit(j, t);
-      }
-    }
+    core_.Flush(options_.propagation, [this](NodeId j, ActionSummary payload) {
+      Transmit(j, std::move(payload));
+    });
   }
 
   void FullBroadcast() {
@@ -677,17 +393,8 @@ class NodeRuntime {
   DistAlgebra alg_;
   DistState state_;
 
-  std::vector<std::vector<ActionId>> children_;
-  std::vector<ActionId> creates_;
-  std::vector<ActionId> commits_;
-  std::vector<ObjectWork> objects_;
-  std::size_t next_create_ = 0;
-  std::vector<char> done_flag_;
-  std::vector<char> created_;
-
-  std::uint64_t version_ = 0;
-  std::vector<ActionSummary> shipped_;
-  std::vector<std::uint64_t> shipped_version_;
+  DriverStats stats_;  // scheduler counters (the trace is the record)
+  NodeCore core_;
   std::vector<TransportMessage> held_;
 
   std::uint64_t clock_ = 0;

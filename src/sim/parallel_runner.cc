@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -11,6 +12,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "sim/message_buffer.h"
+#include "sim/node_core.h"
 #include "sim/transport.h"
 #include "storage/retention_log.h"
 #include "txn/online_checker.h"
@@ -23,16 +25,6 @@ using dist::ActionSummary;
 using dist::DistAlgebra;
 using dist::DistEvent;
 using dist::DistState;
-
-/// anc(A) ∩ summary.aborted ≠ ∅, judged from one node's local knowledge —
-/// the lose-lock precondition (f12) at this level.
-bool LocallyDead(const action::ActionRegistry& reg, const ActionSummary& t,
-                 ActionId a) {
-  for (ActionId c : reg.AncestorChain(a)) {
-    if (c != kRootAction && t.IsAborted(c)) return true;
-  }
-  return false;
-}
 
 /// Multi-threaded executor of ℬ: one free-running event loop per node.
 ///
@@ -77,8 +69,6 @@ class ParallelRunner {
         state_(alg.Initial()),
         mailbox_(topo_.k()),
         link_check_(options.plan),
-        children_(reg_.size()),
-        dead_(reg_.size(), 0),
         workers_(topo_.k()),
         live_lowering_(&alg.registry()) {
     retry_enabled_ = options.plan.drop_prob > 0 ||
@@ -113,18 +103,6 @@ class ParallelRunner {
   }
 
  private:
-  struct ObjectWork {
-    ObjectId x = 0;
-    /// Live accesses on x in the DFS driver's perform order (the ticket
-    /// list); next is the cursor. Pinning per-object perform order to the
-    /// DFS order makes every wait point from a DFS-later access to a
-    /// DFS-earlier transaction — deadlock-free by the same argument as
-    /// the sequential driver, and value-for-value equivalent to it.
-    std::vector<ActionId> tickets;
-    std::size_t next = 0;
-    bool drained = false;
-  };
-
   /// Thread-lifecycle state of one node, for the crash/rebirth handshake
   /// with the supervisor. Written by the node thread (kCrashed/kFinished,
   /// release) and by the supervisor (kAwaitingRebirth after join,
@@ -136,22 +114,12 @@ class ParallelRunner {
     kFinished,         // thread returned for good
   };
 
-  struct Worker {
+  struct Worker final : NodeCore::Host {
+    ParallelRunner* runner = nullptr;
     NodeId id = 0;
-    /// Local obligations, in DFS order (parents before children).
-    std::vector<ActionId> creates;
-    std::vector<ActionId> aborts;   // abort_set members homed here
-    std::vector<ActionId> commits;  // live inner actions homed here
-    std::vector<ObjectWork> objects;
-    std::size_t next_create = 0;
-    std::vector<char> done_flag;    // per obligation list entry
-    std::vector<char> created;      // by ActionId, local creations only
-    /// Knowledge-shipping state: version bumps on every local summary
-    /// change; per-peer frontiers (kDelta) or last-shipped versions
-    /// (kEager) decide what the next flush sends.
-    std::uint64_t version = 0;
-    std::vector<ActionSummary> shipped;
-    std::vector<std::uint64_t> shipped_version;
+    /// Obligations, their change-driven scheduler and the shipping
+    /// bookkeeping (node_core.h).
+    std::unique_ptr<NodeCore> core;
     /// Receiver-side fault machinery: messages held back by a delay
     /// verdict, and the per-node injector for outgoing transmissions.
     std::vector<NodeMessage> held;
@@ -172,6 +140,10 @@ class ParallelRunner {
     std::uint64_t next_retry_idle = 0;
     DriverStats stats;
     std::vector<std::pair<std::uint64_t, DistEvent>> log;
+
+    bool ApplyNodeEvent(DistEvent e) override {
+      return runner->ApplyNodeEvent(*this, std::move(e));
+    }
   };
 
   Status Validate() const {
@@ -189,20 +161,15 @@ class ParallelRunner {
     return Status::Ok();
   }
 
-  /// Precomputes per-node obligation lists and per-object ticket lists
-  /// from one DFS walk of the universal tree (children in id order —
-  /// exactly the sequential driver's schedule).
+  /// Builds each node's obligation lists (one DFS of the universal tree
+  /// per node, children in id order — exactly the sequential driver's
+  /// schedule) and its fault machinery.
   void Plan() {
-    for (ActionId a = 1; a < reg_.size(); ++a) {
-      children_[reg_.Parent(a)].push_back(a);
-    }
     const NodeId k = topo_.k();
     for (NodeId i = 0; i < k; ++i) {
       Worker& w = workers_[i];
+      w.runner = this;
       w.id = i;
-      w.created.assign(reg_.size(), 0);
-      w.shipped.resize(k);
-      w.shipped_version.assign(k, 0);
       faults::FaultPlan plan = options_.plan;
       plan.seed = plan.seed * 1000003u + 17u * i + 1u;
       w.injector = std::make_unique<faults::FaultInjector>(plan);
@@ -215,49 +182,8 @@ class ParallelRunner {
                 });
       w.next_retry_idle =
           static_cast<std::uint64_t>(std::max(1, options_.stall_retry_spins));
-    }
-    std::map<ObjectId, std::vector<ActionId>> tickets;
-    // DFS: schedule creates/aborts/commits/tickets; abort_set subtrees
-    // are pruned (their descendants are dead — never created anywhere).
-    std::vector<std::pair<ActionId, bool>> stack;  // (action, expanded)
-    for (auto it = children_[kRootAction].rbegin();
-         it != children_[kRootAction].rend(); ++it) {
-      stack.emplace_back(*it, false);
-    }
-    while (!stack.empty()) {
-      auto [a, expanded] = stack.back();
-      stack.pop_back();
-      if (expanded) {
-        workers_[topo_.HomeOfAction(a)].commits.push_back(a);
-        continue;
-      }
-      workers_[topo_.Origin(a)].creates.push_back(a);
-      if (reg_.IsAccess(a)) {
-        tickets[reg_.Object(a)].push_back(a);
-        continue;
-      }
-      if (options_.abort_set.count(a)) {
-        workers_[topo_.HomeOfAction(a)].aborts.push_back(a);
-        for (ActionId d = 1; d < reg_.size(); ++d) {
-          if (reg_.IsProperAncestor(a, d)) dead_[d] = 1;
-        }
-        continue;  // subtree pruned
-      }
-      stack.emplace_back(a, true);  // commit after the subtree
-      for (auto it = children_[a].rbegin(); it != children_[a].rend(); ++it) {
-        stack.emplace_back(*it, false);
-      }
-    }
-    for (auto& [x, list] : tickets) {
-      ObjectWork ow;
-      ow.x = x;
-      ow.tickets = std::move(list);
-      workers_[topo_.HomeOfObject(x)].objects.push_back(std::move(ow));
-    }
-    // Objects may also carry locks without appearing in tickets (never:
-    // locks only arise from performs) — ticket objects suffice for drain.
-    for (Worker& w : workers_) {
-      w.done_flag.assign(w.aborts.size() + w.commits.size(), 0);
+      w.core = std::make_unique<NodeCore>(alg_, i, &state_, &w, &w.stats);
+      w.core->Plan(options_.abort_set);
     }
   }
 
@@ -357,11 +283,8 @@ class ParallelRunner {
       ++w.passes;
       bool progress = false;
       progress |= DeliverMail(w);
-      progress |= TryCreates(w);
-      progress |= TryAborts(w);
-      progress |= TryObjects(w);
-      progress |= TryCommits(w);
-      if (!w.marked_done && LocalDone(w)) {
+      progress |= w.core->Work();
+      if (!w.marked_done && w.core->Done()) {
         w.marked_done = true;
         done_nodes_.fetch_add(1, std::memory_order_acq_rel);
         progress = true;
@@ -403,7 +326,7 @@ class ParallelRunner {
     seq_.fetch_add(1, std::memory_order_acq_rel);  // heartbeat tick
     FullBroadcast(w);
     if (!w.marked_done && w.attempts > options_.max_attempts_per_step) {
-      if (TimeoutAbort(w)) w.attempts = 0;
+      if (w.core->TimeoutAbort()) w.attempts = 0;
     }
     const std::uint64_t base = static_cast<std::uint64_t>(
         std::max(1, options_.stall_retry_spins));
@@ -426,10 +349,8 @@ class ParallelRunner {
 
   /// Rebirth: buffer replay is one legal Receive of the durable M_i
   /// (paper §9.1 — "all information ever sent toward i"), after which the
-  /// obligation cursors are reconstructed from the recovered knowledge
-  /// and the durable lock table. A performed access carries committed
-  /// status in the summary (effect (d21)), so the per-object ticket
-  /// cursor is exactly the first not-yet-committed live ticket.
+  /// core reconstructs its obligation cursors from the recovered
+  /// knowledge and the durable lock table (NodeCore::Recover).
   void Recover(Worker& w) {
     const ActionSummary& m = mailbox_.Retained(w.id);
     if (!retention_logs_.empty()) {
@@ -464,103 +385,11 @@ class ParallelRunner {
       Record(w, std::move(recv));
     }
     ++w.stats.recovered_nodes;
-    ++w.version;
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (ActionId a : w.creates) {
-      w.created[a] =
-          (t.Contains(a) || LocallyDead(reg_, t, a)) ? 1 : 0;
-    }
-    w.next_create = 0;
-    while (w.next_create < w.creates.size() &&
-           w.created[w.creates[w.next_create]]) {
-      ++w.next_create;
-    }
-    for (std::size_t i = 0; i < w.aborts.size(); ++i) {
-      w.done_flag[i] = t.IsAborted(w.aborts[i]) ? 1 : 0;
-    }
-    for (std::size_t i = 0; i < w.commits.size(); ++i) {
-      w.done_flag[w.aborts.size() + i] = t.IsDone(w.commits[i]) ? 1 : 0;
-    }
-    for (ObjectWork& ow : w.objects) {
-      ow.next = 0;
-      while (ow.next < ow.tickets.size() &&
-             (t.IsCommitted(ow.tickets[ow.next]) ||
-              LocallyDead(reg_, t, ow.tickets[ow.next]))) {
-        ++ow.next;
-      }
-      ow.drained = false;  // re-walk the durable lock table
-    }
+    w.core->Recover();
     w.idle = 0;
     w.attempts = 0;
     w.next_retry_idle =
         static_cast<std::uint64_t>(std::max(1, options_.stall_retry_spins));
-  }
-
-  /// The chaos driver's timeout-abort, transplanted: after the watchdog
-  /// exhausts its retries, abort the deepest abortable enclosing
-  /// subtransaction *homed on this node* — first among a stuck lock
-  /// holder's ancestors (freeing the lock via the lose-lock path), then
-  /// on the node's own pending commit path (orphaning the stuck subtree,
-  /// which the orphan machinery must keep consistent). Only locally
-  /// homed actions are eligible: thread ownership of node components is
-  /// the runner's race-freedom invariant, and a remote abort would break
-  /// it. Counted in stats.timeout_aborts.
-  bool TimeoutAbort(Worker& w) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (ObjectWork& ow : w.objects) {  // stuck lock holders first
-      if (ow.next >= ow.tickets.size()) continue;
-      ActionId requester = ow.tickets[ow.next];
-      if (!t.IsActive(requester)) continue;
-      const auto* entry = state_.nodes[w.id].vmap.EntriesFor(ow.x);
-      if (entry == nullptr) continue;
-      for (const auto& [b, v] : *entry) {
-        if (b == kRootAction || reg_.IsProperAncestor(b, requester)) continue;
-        if (LocallyDead(reg_, t, b) || t.IsCommitted(b)) break;  // walkable
-        if (AbortAncestorHomedHere(w, b, requester)) return true;
-        break;
-      }
-    }
-    // Own path: commits are in DFS post-order, so the first pending
-    // entry is the deepest unfinished subtransaction homed here.
-    for (std::size_t i = 0; i < w.commits.size(); ++i) {
-      const std::size_t flag = w.aborts.size() + i;
-      if (w.done_flag[flag]) continue;
-      ActionId a = w.commits[i];
-      if (!t.IsActive(a)) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeAbort{w.id, a}})) {
-        return false;
-      }
-      w.done_flag[flag] = 1;
-      ++w.stats.timeout_aborts;
-      return true;
-    }
-    return false;
-  }
-
-  /// Aborts the deepest non-access ancestor of `blocker` that is homed
-  /// here, active, and not an ancestor of `requester` (a blocked step
-  /// never shoots down its own transaction from here).
-  bool AbortAncestorHomedHere(Worker& w, ActionId blocker,
-                              ActionId requester) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (ActionId c : reg_.AncestorChain(blocker)) {
-      if (c == kRootAction || reg_.IsAccess(c)) continue;
-      if (reg_.IsAncestor(c, requester)) continue;
-      if (topo_.HomeOfAction(c) != w.id) continue;
-      if (!t.IsActive(c)) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeAbort{w.id, c}})) {
-        return false;
-      }
-      for (std::size_t i = 0; i < w.commits.size(); ++i) {
-        if (w.commits[i] == c) {
-          w.done_flag[w.aborts.size() + i] = 1;
-          break;
-        }
-      }
-      ++w.stats.timeout_aborts;
-      return true;
-    }
-    return false;
   }
 
   /// Applies one node event on its owning thread: Defined is checked
@@ -591,7 +420,6 @@ class ParallelRunner {
     }
     alg_.Apply(state_, e);
     ++w.stats.node_events;
-    ++w.version;
     Record(w, std::move(e));
     if (wal_a != kInvalidAction) WalAppend(w, wal_a, wal_s);
     return true;
@@ -667,6 +495,7 @@ class ParallelRunner {
   bool DeliverMail(Worker& w) {
     bool progress = false;
     std::vector<NodeMessage> due;
+    std::vector<ActionId> learned;
     for (NodeMessage& m : w.held) {
       if (--m.delay <= 0) {
         due.push_back(std::move(m));
@@ -696,210 +525,28 @@ class ParallelRunner {
       Record(w, DistEvent{dist::Receive{w.id, m.summary}});
       // The sender certainly knows what it sent: advancing our frontier
       // for it suppresses echo traffic.
-      w.shipped[m.from].MergeFrom(m.summary);
-      if (state_.nodes[w.id].summary.MergeFrom(std::move(m.summary))) {
-        ++w.version;
+      w.core->Covered(m.from, m.summary);
+      learned.clear();
+      if (state_.nodes[w.id].summary.MergeFrom(m.summary, &learned)) {
+        w.core->Learned(learned);
         progress = true;
       }
     }
     return progress;
-  }
-
-  bool TryCreates(Worker& w) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    bool progress = false;
-    // Creates are in DFS order, so a blocked parent blocks its (local)
-    // descendants too; scan past blocked entries anyway — different
-    // subtrees interleave on one node.
-    for (std::size_t idx = w.next_create; idx < w.creates.size(); ++idx) {
-      ActionId a = w.creates[idx];
-      if (w.created[a]) continue;
-      if (LocallyDead(reg_, t, a)) {
-        // A timeout-abort killed an enclosing subtransaction: the create
-        // obligation is resolved by never running (the subtree is dead).
-        w.created[a] = 1;
-        progress = true;
-        continue;
-      }
-      ActionId p = reg_.Parent(a);
-      if (p != kRootAction && (!t.Contains(p) || t.IsCommitted(p))) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeCreate{w.id, a}})) {
-        return progress;
-      }
-      w.created[a] = 1;
-      progress = true;
-    }
-    while (w.next_create < w.creates.size() &&
-           w.created[w.creates[w.next_create]]) {
-      ++w.next_create;
-    }
-    return progress;
-  }
-
-  bool TryAborts(Worker& w) {
-    bool progress = false;
-    if (w.done_flag.empty()) {
-      // done flags: one vector spanning aborts then commits.
-      w.done_flag.assign(w.aborts.size() + w.commits.size(), 0);
-    }
-    for (std::size_t i = 0; i < w.aborts.size(); ++i) {
-      if (w.done_flag[i]) continue;
-      ActionId a = w.aborts[i];
-      if (!state_.nodes[w.id].summary.IsActive(a)) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeAbort{w.id, a}})) {
-        return progress;
-      }
-      w.done_flag[i] = 1;
-      ++w.stats.aborts;
-      progress = true;
-    }
-    return progress;
-  }
-
-  bool TryCommits(Worker& w) {
-    if (w.done_flag.empty()) {
-      w.done_flag.assign(w.aborts.size() + w.commits.size(), 0);
-    }
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    bool progress = false;
-    for (std::size_t i = 0; i < w.commits.size(); ++i) {
-      std::size_t flag = w.aborts.size() + i;
-      if (w.done_flag[flag]) continue;
-      ActionId a = w.commits[i];
-      if (!t.IsActive(a)) continue;
-      // Stronger than ℬ's (b12): every live child must be *created* (all
-      // of a's children are created on this very node, so this is a local
-      // check) and *done* in local knowledge — the same strengthening the
-      // chaos driver documents, needed for the level-4 image.
-      bool ready = true;
-      for (ActionId c : children_[a]) {
-        if (dead_[c]) continue;
-        if (!w.created[c] || !t.IsDone(c)) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeCommit{w.id, a}})) {
-        return progress;
-      }
-      w.done_flag[flag] = 1;
-      ++w.stats.commits;
-      progress = true;
-    }
-    return progress;
-  }
-
-  /// Performs the ticket-head access of each local object once its lock
-  /// chain clears, walking blockers (release committed / lose dead) as
-  /// far as local knowledge allows; after the last ticket, drains the
-  /// object's locks to the root U the same way.
-  bool TryObjects(Worker& w) {
-    bool progress = false;
-    for (ObjectWork& ow : w.objects) {
-      if (ow.next < ow.tickets.size()) {
-        ActionId a = ow.tickets[ow.next];
-        if (LocallyDead(reg_, state_.nodes[w.id].summary, a)) {
-          // Orphaned ticket (enclosing subtransaction timeout-aborted):
-          // it will never perform — skip it so the queue keeps moving.
-          ++ow.next;
-          progress = true;
-          continue;
-        }
-        if (!state_.nodes[w.id].summary.IsActive(a)) continue;
-        if (!WalkLocks(w, ow.x, a, &progress)) continue;  // still blocked
-        Value u = state_.nodes[w.id].vmap.PrincipalValue(ow.x, reg_);
-        if (!ApplyNodeEvent(w, DistEvent{dist::NodePerform{w.id, a, u}})) {
-          return progress;
-        }
-        ++w.stats.performs;
-        ++ow.next;
-        progress = true;
-      } else if (!ow.drained) {
-        if (WalkLocks(w, ow.x, kInvalidAction, &progress)) {
-          ow.drained = true;
-          progress = true;
-        }
-      }
-    }
-    return progress;
-  }
-
-  /// Walks blocking locks on x as far as local knowledge allows. Returns
-  /// true when no blocker remains for `requester` (kInvalidAction: for
-  /// anything but the root). Sets *progress on each applied walk event.
-  bool WalkLocks(Worker& w, ObjectId x, ActionId requester, bool* progress) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (;;) {
-      const auto* entry = state_.nodes[w.id].vmap.EntriesFor(x);
-      if (entry == nullptr) return true;
-      ActionId blocker = kInvalidAction;
-      for (const auto& [b, v] : *entry) {
-        if (b != kRootAction &&
-            (requester == kInvalidAction ||
-             !reg_.IsProperAncestor(b, requester))) {
-          blocker = b;
-          break;
-        }
-      }
-      if (blocker == kInvalidAction) return true;
-      if (LocallyDead(reg_, t, blocker)) {
-        if (!ApplyNodeEvent(w,
-                            DistEvent{dist::NodeLoseLock{w.id, blocker, x}})) {
-          return false;
-        }
-        ++w.stats.loses;
-        *progress = true;
-      } else if (t.IsCommitted(blocker)) {
-        if (!ApplyNodeEvent(
-                w, DistEvent{dist::NodeReleaseLock{w.id, blocker, x}})) {
-          return false;
-        }
-        ++w.stats.releases;
-        *progress = true;
-      } else {
-        return false;  // knowledge not here yet; broadcasts will bring it
-      }
-    }
-  }
-
-  bool LocalDone(const Worker& w) {
-    if (w.next_create < w.creates.size()) return false;
-    if (w.done_flag.size() < w.aborts.size() + w.commits.size()) {
-      return w.aborts.empty() && w.commits.empty() && w.objects.empty();
-    }
-    for (char f : w.done_flag) {
-      if (!f) return false;
-    }
-    for (const ObjectWork& ow : w.objects) {
-      if (ow.next < ow.tickets.size() || !ow.drained) return false;
-    }
-    return true;
   }
 
   // ----------------------------------------------------------------
   // Knowledge shipping.
 
-  /// Ships pending knowledge to every peer. Under kDelta only the entries
-  /// beyond the per-peer frontier travel — everything that accumulated
-  /// since the last flush coalesces into a single message per peer.
+  /// Ships pending knowledge to every peer (NodeCore::Flush): under
+  /// kDelta only the entries beyond each peer's frontier travel, and
+  /// everything that accumulated since the last flush coalesces into a
+  /// single message per peer.
   void Flush(Worker& w) {
-    const NodeId k = topo_.k();
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    if (t.empty()) return;
-    for (NodeId j = 0; j < k; ++j) {
-      if (j == w.id) continue;
-      if (options_.propagation == Propagation::kDelta) {
-        ActionSummary delta = t.DeltaSince(w.shipped[j]);
-        if (delta.empty()) continue;
-        w.shipped[j].MergeFrom(delta);
-        Transmit(w, j, std::move(delta));
-      } else {  // kEager: full summary whenever anything changed
-        if (w.shipped_version[j] == w.version) continue;
-        w.shipped_version[j] = w.version;
-        Transmit(w, j, t);
-      }
-    }
+    w.core->Flush(options_.propagation,
+                  [this, &w](NodeId j, ActionSummary payload) {
+                    Transmit(w, j, std::move(payload));
+                  });
   }
 
   void FullBroadcast(Worker& w) {
@@ -961,6 +608,7 @@ class ParallelRunner {
       run.stats.crashes += w.stats.crashes;
       run.stats.recovered_nodes += w.stats.recovered_nodes;
       run.stats.timeout_aborts += w.stats.timeout_aborts;
+      run.stats.obligations_examined += w.stats.obligations_examined;
       run.stats.dropped_msgs += w.stats.dropped_msgs;
       run.stats.duplicated_msgs += w.stats.duplicated_msgs;
       run.stats.delayed_msgs += w.stats.delayed_msgs;
@@ -1003,8 +651,6 @@ class ParallelRunner {
   /// link filter (PartitionedAtStamp only reads the plan).
   faults::FaultInjector link_check_;
   bool retry_enabled_ = false;
-  std::vector<std::vector<ActionId>> children_;
-  std::vector<char> dead_;
   std::vector<Worker> workers_;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint32_t> done_nodes_{0};

@@ -9,6 +9,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -30,6 +31,11 @@ StatusOr<std::unique_ptr<SocketHub>> SocketHub::Start(const Options& options) {
   std::unique_ptr<SocketHub> hub(new SocketHub(options));
   Status st = hub->Bind();
   if (!st.ok()) return st;
+  hub->wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (hub->wake_fd_ < 0) {
+    return Status::Internal(std::string("hub: eventfd failed: ") +
+                            std::strerror(errno));
+  }
   {
     MutexLock l(hub->hub_mu_);
     hub->status_.resize(options.k);
@@ -107,14 +113,26 @@ std::uint64_t SocketHub::ObservedClock() const {
   return clock;
 }
 
+void SocketHub::Wake() {
+  const std::uint64_t one = 1;
+  // A full counter already guarantees a pending wake-up; nothing to do.
+  (void)::write(wake_fd_, &one, sizeof(one));
+}
+
 void SocketHub::BroadcastAllDone() {
-  MutexLock l(hub_mu_);
-  broadcast_all_done_ = true;
+  {
+    MutexLock l(hub_mu_);
+    broadcast_all_done_ = true;
+  }
+  Wake();
 }
 
 void SocketHub::ResetNode(NodeId node) {
-  MutexLock l(hub_mu_);
-  if (node < reset_requests_.size()) reset_requests_[node] = 1;
+  {
+    MutexLock l(hub_mu_);
+    if (node < reset_requests_.size()) reset_requests_[node] = 1;
+  }
+  Wake();
 }
 
 void SocketHub::ClearNodeProgress(NodeId node) {
@@ -132,10 +150,15 @@ void SocketHub::Stop() {
     if (stop_) return;
     stop_ = true;
   }
+  if (wake_fd_ >= 0) Wake();
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
     (void)::close(listen_fd_);
     listen_fd_ = -1;
+  }
+  if (wake_fd_ >= 0) {
+    (void)::close(wake_fd_);
+    wake_fd_ = -1;
   }
   if (!unix_path_.empty() && storage::FileExists(unix_path_)) {
     // Shutdown tidy-up of the socket node; nothing depends on it.
@@ -302,8 +325,9 @@ void SocketHub::ThreadMain() {
 
     // Poll the listener and every live connection.
     std::vector<pollfd> pfds;
-    std::vector<std::size_t> idx;  // pfds[i+1] -> conns[idx[i]]
+    std::vector<std::size_t> idx;  // pfds[i+2] -> conns[idx[i]]
     pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    pfds.push_back(pollfd{wake_fd_, POLLIN, 0});
     for (std::size_t i = 0; i < conns.size(); ++i) {
       if (conns[i].fd < 0) continue;
       short events = POLLIN;
@@ -314,6 +338,10 @@ void SocketHub::ThreadMain() {
     const int ready = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/10);
     if (ready < 0 && errno != EINTR) break;  // unrecoverable
 
+    if (pfds[1].revents & POLLIN) {
+      std::uint64_t wakes = 0;  // drain; control actions run next round
+      (void)::read(wake_fd_, &wakes, sizeof(wakes));
+    }
     if (pfds[0].revents & POLLIN) {
       for (;;) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -340,8 +368,8 @@ void SocketHub::ThreadMain() {
       }
     }
 
-    for (std::size_t p = 1; p < pfds.size(); ++p) {
-      Conn& c = conns[idx[p - 1]];
+    for (std::size_t p = 2; p < pfds.size(); ++p) {
+      Conn& c = conns[idx[p - 2]];
       if (c.fd < 0) continue;  // closed by an earlier frame this round
       if (pfds[p].revents & (POLLERR | POLLHUP | POLLNVAL)) {
         close_conn(c);

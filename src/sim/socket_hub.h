@@ -81,7 +81,8 @@ class SocketHub {
   /// partitions and kill triggers are judged on.
   std::uint64_t ObservedClock() const;
 
-  /// Queues a kAllDone broadcast to every connected node.
+  /// Queues a kAllDone broadcast to every connected node; the hub thread
+  /// is woken, so nodes learn it without waiting out a poll timeout.
   void BroadcastAllDone();
   /// Queues a connection reset for `node` (e.g. before SIGKILL, so the
   /// dead process's socket never lingers as a routing target).
@@ -98,6 +99,9 @@ class SocketHub {
 
   Status Bind();
   void ThreadMain();
+  /// Interrupts the hub thread's poll() so a queued control action (or
+  /// stop) is acted on at once instead of after the poll timeout.
+  void Wake();
   struct Conn;
   void FlushOutbound(Conn& c);
 
@@ -105,6 +109,8 @@ class SocketHub {
   std::string endpoint_;
   std::string unix_path_;
   int listen_fd_ = -1;
+  /// eventfd the hub thread polls alongside its sockets; Wake() bumps it.
+  int wake_fd_ = -1;
   std::thread thread_;
 
   /// One accepted connection. Owned by the hub thread; `node` is set by

@@ -204,6 +204,16 @@ bool SocketTransport::Idle(NodeId /*self*/) {
   return ::poll(&p, 1, 0) == 0;
 }
 
+void SocketTransport::WaitReadable(int timeout_ms) {
+  if (!pending_.empty()) return;
+  if (fd_ < 0) {
+    PauseMs(timeout_ms);  // link down: the next Poll reconnects
+    return;
+  }
+  pollfd p{fd_, POLLIN, 0};
+  (void)::poll(&p, 1, timeout_ms);
+}
+
 bool SocketTransport::SendHeartbeat(const HeartbeatFrame& f) {
   if (WriteFrame(EncodeHeartbeat(f))) return true;
   return Reconnect() && WriteFrame(EncodeHeartbeat(f));

@@ -57,6 +57,11 @@ class SocketTransport final : public Transport {
   std::vector<TransportMessage> Poll(NodeId self) override;
   bool Idle(NodeId self) override;
 
+  /// Parks the caller until a frame is readable on the link or
+  /// `timeout_ms` elapses, whichever comes first; returns at once when
+  /// frames are already pending. Liveness pacing only — never semantics.
+  void WaitReadable(int timeout_ms);
+
   /// Sends a liveness/progress heartbeat. False when the link is down
   /// and reconnect failed (the caller keeps going; the watchdog retries).
   bool SendHeartbeat(const HeartbeatFrame& f);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 #include "algebra/algebra.h"
+#include "dist/delta_log.h"
 #include "testutil.h"
 
 namespace rnt::dist {
@@ -173,6 +175,151 @@ TEST(ActionSummaryTest, RandomSubIsAlwaysSubsummary) {
   }
   for (int i = 0; i < 50; ++i) {
     EXPECT_TRUE(s.RandomSub(rng).IsSubsummaryOf(s));
+  }
+}
+
+/// The whole-summary scan precondition (b12) was judged by before the
+/// registry grew a child index — kept as the reference the indexed
+/// LocalChildrenDone must agree with.
+bool LocalChildrenDoneByScan(const ActionRegistry& reg,
+                             const ActionSummary& summary, ActionId a) {
+  for (const auto& [c, s] : summary.entries()) {
+    if (c != kRootAction && reg.Parent(c) == a && s == ActionStatus::kActive) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Reference for LocallyDead: the materialized ancestor chain.
+bool LocallyDeadByChain(const ActionRegistry& reg,
+                        const ActionSummary& summary, ActionId a) {
+  for (ActionId c : reg.AncestorChain(a)) {
+    if (c != kRootAction && summary.IsAborted(c)) return true;
+  }
+  return false;
+}
+
+TEST(DistPredicateTest, ChildIndexAgreesWithWholeSummaryScan) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    testutil::RandomRegistryParams p;
+    p.top_level = 2 + static_cast<int>(rng.Below(4));
+    ActionRegistry reg = testutil::MakeRandomRegistry(rng, p);
+    // Arbitrary (not necessarily parent-closed) knowledge: each action
+    // absent, active, committed or aborted.
+    ActionSummary t;
+    for (ActionId a = 1; a < reg.size(); ++a) {
+      switch (rng.Below(4)) {
+        case 0:
+          break;
+        case 1:
+          t.AddActive(a);
+          break;
+        case 2:
+          t.AddActive(a);
+          t.SetStatus(a, ActionStatus::kCommitted);
+          break;
+        default:
+          t.AddActive(a);
+          t.SetStatus(a, ActionStatus::kAborted);
+      }
+    }
+    for (ActionId a = 0; a < reg.size(); ++a) {
+      EXPECT_EQ(LocalChildrenDone(reg, t, a),
+                LocalChildrenDoneByScan(reg, t, a))
+          << "action " << a << " seed " << seed;
+      EXPECT_EQ(LocallyDead(reg, t, a), LocallyDeadByChain(reg, t, a))
+          << "action " << a << " seed " << seed;
+    }
+  }
+}
+
+/// Every action has one fate (even: committed, odd: aborted), so all the
+/// summaries below are truthful and never disagree — as in ℬ, where only
+/// the home node decides a status.
+ActionStatus Fate(ActionId a) {
+  return a % 2 == 0 ? ActionStatus::kCommitted : ActionStatus::kAborted;
+}
+
+ActionSummary RandomTruthfulSummary(Rng& rng, ActionId n, double keep) {
+  ActionSummary s;
+  for (ActionId a = 1; a <= n; ++a) {
+    if (!rng.Chance(keep)) continue;
+    s.AddActive(a);
+    if (rng.Chance(0.5)) s.SetStatus(a, Fate(a));
+  }
+  return s;
+}
+
+TEST(DeltaLogTest, ChangeListDeltaEqualsDeltaSinceAtEveryFlush) {
+  constexpr NodeId kPeers = 3;
+  constexpr NodeId kSelf = 1;
+  constexpr ActionId kActions = 40;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    Rng rng(seed);
+    ActionSummary t;
+    DeltaLog log(kPeers);
+    std::vector<ActionSummary> frontier(kPeers);  // reference frontiers
+    int flushes = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.Below(100);
+      if (op < 40) {
+        // Node event: create, or decide a known action's fate.
+        const auto a = static_cast<ActionId>(rng.Below(kActions) + 1);
+        if (!t.Contains(a)) {
+          t.AddActive(a);
+          log.Note(a);
+        } else if (t.IsActive(a)) {
+          t.SetStatus(a, Fate(a));
+          log.Note(a);
+        }
+      } else if (op < 60) {
+        // Receive merge: a peer's payload, echo-suppressed as the
+        // runtimes do (the sender's frontier covers what it sent).
+        const auto from = static_cast<NodeId>(rng.Below(kPeers));
+        ActionSummary payload = RandomTruthfulSummary(rng, kActions, 0.2);
+        if (from != kSelf) {
+          log.Covered(from, payload);
+          frontier[from].MergeFrom(payload);
+        }
+        std::vector<ActionId> changed;
+        t.MergeFrom(payload, &changed);
+        for (ActionId a : changed) log.Note(a);
+      } else if (op < 70) {
+        // Echo-suppression merge on its own (a payload that never reached
+        // the summary, e.g. a stale duplicate).
+        const auto j = static_cast<NodeId>(rng.Below(kPeers));
+        if (j == kSelf) continue;
+        ActionSummary payload = RandomTruthfulSummary(rng, kActions, 0.1);
+        log.Covered(j, payload);
+        frontier[j].MergeFrom(payload);
+      } else if (op < 73) {
+        // Crash wipe, then rebirth from a retained buffer.
+        t = ActionSummary{};
+        if (rng.Chance(0.5)) {
+          t.MergeFrom(RandomTruthfulSummary(rng, kActions, 0.5));
+          log.NoteAll(t);
+        }
+      } else {
+        std::vector<ActionSummary> shipped(kPeers);
+        log.Flush(t, kSelf, [&](NodeId j, ActionSummary delta) {
+          EXPECT_FALSE(delta.empty());
+          shipped[j] = std::move(delta);
+        });
+        for (NodeId j = 0; j < kPeers; ++j) {
+          if (j == kSelf) continue;
+          const ActionSummary want = t.DeltaSince(frontier[j]);
+          EXPECT_EQ(shipped[j], want)
+              << "peer " << j << " step " << step << " seed " << seed;
+          frontier[j].MergeFrom(want);
+          EXPECT_EQ(log.frontier(j), frontier[j]);
+        }
+        EXPECT_EQ(log.pending(), 0u);
+        ++flushes;
+      }
+    }
+    EXPECT_GT(flushes, 50) << "seed " << seed;
   }
 }
 

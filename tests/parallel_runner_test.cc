@@ -10,6 +10,7 @@
 #include "aat/aat.h"
 #include "algebra/algebra.h"
 #include "sim/message_buffer.h"
+#include "sim/program_spec.h"
 #include "testutil.h"
 #include "txn/online_checker.h"
 
@@ -297,6 +298,37 @@ TEST(ParallelRunnerTest, RecordEventsOffStillComputesFinalState) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->events.empty());
   EXPECT_GT(run->stats.performs, 0u);
+}
+
+TEST(ParallelRunnerTest, ObligationWorkIsLinearInProgramSize) {
+  // Change-driven scheduling: a create/abort/commit obligation is
+  // re-judged only when one of its inputs changed in local knowledge,
+  // so the obligations examined over a whole fault-free run stay within
+  // a small constant of the work actually done — at every program size,
+  // and independent of how many idle passes the threads spin through.
+  for (std::uint32_t top_level : {512u, 2048u}) {
+    ProgramSpec spec;
+    spec.seed = 7;
+    spec.top_level = top_level;
+    spec.objects = 256;
+    spec.k = 3;
+    const ActionRegistry reg = spec.BuildRegistry();
+    const dist::Topology topo = dist::Topology::RoundRobin(&reg, spec.k);
+    const dist::DistAlgebra alg(&topo);
+    ParallelOptions opt;
+    opt.record_events = false;
+    auto run = RunParallel(alg, opt);
+    ASSERT_TRUE(run.ok()) << run.status();
+    ASSERT_TRUE(run->complete);
+    const std::uint64_t creates = reg.size() - 1;  // every action, once
+    const std::uint64_t work =
+        run->stats.node_events + creates + run->stats.commits;
+    EXPECT_GT(run->stats.obligations_examined, 0u);
+    EXPECT_LE(run->stats.obligations_examined, 2 * work)
+        << "top_level " << top_level << ": examined "
+        << run->stats.obligations_examined << " for " << work
+        << " events + obligations";
+  }
 }
 
 }  // namespace

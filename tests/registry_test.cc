@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "action/update.h"
 
 namespace rnt::action {
@@ -118,6 +120,25 @@ TEST(RegistryTest, AncestorChainRootFirstFromLeaf) {
   EXPECT_EQ(chain[1], s);
   EXPECT_EQ(chain[2], t);
   EXPECT_EQ(chain[3], kRootAction);
+}
+
+TEST(RegistryTest, ChildIndexListsChildrenInIdOrder) {
+  ActionRegistry reg;
+  ActionId t = reg.NewAction(kRootAction);
+  ActionId u = reg.NewAction(kRootAction);
+  ActionId s = reg.NewAction(t);
+  ActionId a = reg.NewAccess(t, 0, Update::Read());
+  ActionId b = reg.NewAccess(s, 1, Update::Read());
+  EXPECT_EQ(reg.Children(kRootAction), (std::vector<ActionId>{t, u}));
+  EXPECT_EQ(reg.Children(t), (std::vector<ActionId>{s, a}));
+  EXPECT_EQ(reg.Children(s), (std::vector<ActionId>{b}));
+  EXPECT_TRUE(reg.Children(u).empty());
+  EXPECT_TRUE(reg.Children(a).empty()) << "accesses are leaves";
+  for (ActionId c = 1; c < reg.size(); ++c) {
+    const std::vector<ActionId>& sibs = reg.Children(reg.Parent(c));
+    EXPECT_EQ(std::count(sibs.begin(), sibs.end(), c), 1)
+        << "every action is listed once under its parent";
+  }
 }
 
 TEST(RegistryTest, ChildTowardFindsProjection) {
