@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
   std::printf("]");
   if (sweep_json) {
     // The same schedule on the multi-threaded runtime: crashes kill and
-    // rebirth real threads, partitions run at the mailbox's link filter,
+    // rebirth real threads, partitions sever links in the transport,
     // and avg_rounds is 0 by construction (free-running loops).
     std::printf(",\"concurrent_trajectory\":[");
     first_rate = true;

@@ -60,20 +60,22 @@ FaultInjector::Verdict FaultInjector::OnMessage(NodeId from, NodeId to,
   return v;
 }
 
+std::vector<CrashSpec> CrashesOf(const FaultPlan& plan, NodeId node) {
+  std::vector<CrashSpec> out;
+  for (const CrashSpec& c : plan.crashes) {
+    if (c.node == node) out.push_back(c);
+  }
+  std::sort(out.begin(), out.end(), [](const CrashSpec& a, const CrashSpec& b) {
+    return a.TriggerStamp() < b.TriggerStamp();
+  });
+  return out;
+}
+
 bool FaultInjector::Partitioned(NodeId a, NodeId b, int round) const {
   if (round < 0) return false;  // free-running caller: stamp check applies
   for (const PartitionSpec& p : plan_.partitions) {
     bool pair = (p.a == a && p.b == b) || (p.a == b && p.b == a);
     if (pair && round >= p.from_round && round < p.until_round) return true;
-  }
-  return false;
-}
-
-bool FaultInjector::PartitionedAtStamp(NodeId a, NodeId b,
-                                       std::int64_t stamp) const {
-  for (const PartitionSpec& p : plan_.partitions) {
-    bool pair = (p.a == a && p.b == b) || (p.a == b && p.b == a);
-    if (pair && stamp >= p.FromStamp() && stamp < p.UntilStamp()) return true;
   }
   return false;
 }

@@ -139,15 +139,11 @@ class FaultInjector {
   /// probabilities, so sweeps over fault rates with one seed see the same
   /// underlying random sequence.
   /// Pass a negative `round` to disable the round-window partition check
-  /// (the free-running runner applies partitions at the mailbox via
-  /// PartitionedAtStamp instead, since its loop passes are not rounds).
+  /// (the free-running runtimes judge stamp-windowed partitions in their
+  /// LinkInterposer instead, since their loop passes are not rounds).
   Verdict OnMessage(NodeId from, NodeId to, int round);
 
   bool Partitioned(NodeId a, NodeId b, int round) const;
-
-  /// Logical-clock variant for the free-running runner: true when the
-  /// a-b link is severed at global event stamp `stamp`.
-  bool PartitionedAtStamp(NodeId a, NodeId b, std::int64_t stamp) const;
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -155,6 +151,10 @@ class FaultInjector {
   FaultPlan plan_;
   Rng rng_;
 };
+
+/// `plan`'s crashes of `node`, by ascending trigger stamp — the order a
+/// free-running runtime fires them in.
+std::vector<CrashSpec> CrashesOf(const FaultPlan& plan, NodeId node);
 
 /// Validates a plan: probabilities in [0, 1], nodes within [k],
 /// non-negative intervals, no self-partitions (a == b), no overlapping

@@ -9,27 +9,29 @@
 
 namespace rnt::faults {
 
-/// The socket-level fault surface of the multi-process runtime: every
-/// summary frame the SocketHub routes between node processes passes
-/// through here, and the verdict maps the paper's message-system
-/// freedoms onto a real network —
+/// The message-fault surface of both ℬ transports: every summary frame
+/// the SocketHub routes between node processes passes through one
+/// (owned by the hub), and so does every in-process transmission
+/// (MailboxTransport owns one per sender). The verdict maps the paper's
+/// message-system freedoms onto the network —
 ///
 ///  * drop: the transmission never reaches M_j (ℬ permits messages that
 ///    are never received);
 ///  * delay / duplicate: receiver-side holds and re-deliveries (M_j is
 ///    cumulative, any sub-summary may be re-received);
 ///  * partition: every frame across the severed (a, b) link is dropped
-///    while the stamp window is open — judged on the hub's observed
-///    Lamport clock, so the *same* stamp-windowed PartitionSpec that
-///    drives the in-process mailbox filter reinterprets unchanged;
+///    while the stamp window is open — judged on the caller's logical
+///    clock (the hub's observed Lamport clock, or the in-process stamp
+///    counter), so one stamp-windowed PartitionSpec drives both;
 ///  * reset: entering a partition window additionally tears down the
 ///    endpoints' connections once (a real TCP RST / unix-socket close),
-///    forcing the nodes through their bounded-backoff reconnect path.
+///    forcing the nodes through their bounded-backoff reconnect path
+///    (sockets only; the in-process transport has no connections).
 ///
 /// Deterministic: random verdicts come from the plan's seeded
 /// FaultInjector with its fixed-draw contract, and partition windows
-/// are a pure function of the logical clock. Single-threaded (owned by
-/// the hub thread).
+/// are a pure function of the logical clock. Single-threaded (used by
+/// its owner's thread only).
 class LinkInterposer {
  public:
   explicit LinkInterposer(const FaultPlan& plan)

@@ -256,10 +256,7 @@ class ChaosDriver {
     if (attempts_ >= options_.max_attempts_per_step) return HandleTimeout();
     if (attempts_ > 0) ++stats_.retries;
     ++attempts_;
-    int shift = std::min(attempts_ - 1, 5);
-    int backoff = std::max(1, options_.backoff_base) << shift;
-    backoff = std::min(backoff, std::max(1, options_.backoff_cap));
-    next_attempt_round_ = round_ + backoff;
+    next_attempt_round_ = round_ + (1 << std::min(attempts_ - 1, 5));  // ≤ 32
     return Status::Ok();
   }
 

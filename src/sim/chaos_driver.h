@@ -26,11 +26,10 @@ struct ChaosOptions {
   /// Hard bound on scheduler rounds.
   int max_rounds = 200000;
   /// Stall handling: a step whose knowledge request goes unanswered
-  /// re-sends with exponential backoff (base << attempt, capped), and
-  /// after max_attempts_per_step re-requests the nearest abortable
-  /// enclosing subtransaction is timeout-aborted instead of spinning.
-  int backoff_base = 1;
-  int backoff_cap = 32;
+  /// re-sends with exponential backoff (1 << attempt rounds, capped at
+  /// 32), and after max_attempts_per_step re-requests the nearest
+  /// abortable enclosing subtransaction is timeout-aborted instead of
+  /// spinning.
   int max_attempts_per_step = 12;
   /// Check the Lemma 23-26 local-consistency obligations against the
   /// level-4 shadow state after every round (the "invariants under fire"
@@ -38,13 +37,13 @@ struct ChaosOptions {
   bool check_invariants = false;
   /// Run on the multi-threaded ParallelRunner against the concurrent
   /// (mutex-free) message buffer instead of the round-based sequential
-  /// loop: faults are injected into real cross-thread traffic, including
-  /// crashes (mid-loop thread death, rebirth by durable-buffer replay)
-  /// and partitions (link-level filter at the mailbox) — crash triggers
-  /// and partition windows run on the runner's logical clock (see
-  /// faults::CrashSpec). Restricted to kEager/kDelta propagation
-  /// semantics (the runner is reactive); `propagation` below selects
-  /// which, and `max_attempts_per_step` above feeds the per-node
+  /// loop: faults are injected into real cross-thread traffic by the
+  /// in-process transport, including crashes (mid-loop thread death,
+  /// rebirth by durable-buffer replay) and partitions (severed links) —
+  /// crash triggers and partition windows run on the runner's logical
+  /// clock (see faults::CrashSpec). Restricted to kEager/kDelta
+  /// propagation semantics (the runner is reactive); `propagation` below
+  /// selects which, and `max_attempts_per_step` above feeds the per-node
   /// watchdog. The level-4 shadow and the invariant check then run
   /// post-hoc over the merged event log rather than per round.
   bool concurrent_buffer = false;

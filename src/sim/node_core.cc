@@ -1,5 +1,7 @@
 #include "sim/node_core.h"
 
+#include <algorithm>
+#include <utility>
 #include <variant>
 
 namespace rnt::sim {
@@ -7,15 +9,41 @@ namespace rnt::sim {
 using dist::ActionSummary;
 using dist::DistEvent;
 
+namespace {
+
+/// The summary entry a node event changes, with its new status — the one
+/// definition of what the WAL self-send logs. kInvalidAction for lock
+/// bookkeeping (release/lose), which changes no entry.
+std::pair<ActionId, action::ActionStatus> ChangedEntry(const DistEvent& e) {
+  using action::ActionStatus;
+  if (const auto* c = std::get_if<dist::NodeCreate>(&e)) {
+    return {c->a, ActionStatus::kActive};
+  }
+  if (const auto* c = std::get_if<dist::NodeCommit>(&e)) {
+    return {c->a, ActionStatus::kCommitted};
+  }
+  if (const auto* c = std::get_if<dist::NodeAbort>(&e)) {
+    return {c->a, ActionStatus::kAborted};
+  }
+  if (const auto* p = std::get_if<dist::NodePerform>(&e)) {
+    return {p->a, ActionStatus::kCommitted};  // effect (d21)
+  }
+  return {kInvalidAction, ActionStatus::kActive};
+}
+
+}  // namespace
+
 NodeCore::NodeCore(const dist::DistAlgebra& alg, NodeId self,
-                   const dist::DistState* state, Host* host,
-                   DriverStats* stats)
-    : topo_(alg.topology()),
+                   dist::DistState* state, Host* host, DriverStats* stats,
+                   const Options& options)
+    : alg_(alg),
+      topo_(alg.topology()),
       reg_(alg.registry()),
       self_(self),
       state_(state),
       host_(host),
       stats_(stats),
+      options_(options),
       delta_(alg.topology().k()),
       shipped_version_(alg.topology().k(), 0) {}
 
@@ -89,7 +117,24 @@ void NodeCore::Plan(const std::set<ActionId>& abort_set) {
   WakeAll();
 }
 
-void NodeCore::Recover() {
+void NodeCore::Rebirth(const ActionSummary& retained) {
+  held_.clear();
+  if (!retained.empty()) {
+    DistEvent recv{dist::Receive{self_, retained}};
+    if (!alg_.Defined(*state_, recv)) {
+      // Every retained fact was recorded as a Send toward us before it
+      // was retained, so this would mean the WAL discipline is broken.
+      Check(Status::Internal("rebirth replay is not a legal Receive"));
+      return;
+    }
+    alg_.Apply(*state_, recv);
+    if (!Check(host_->Record(std::move(recv), 0))) return;
+  }
+  ++stats_->recovered_nodes;
+  idle_ = 0;
+  attempts_ = 0;
+  next_retry_idle_ = kStallRetrySpins;
+  // Rebuild every cursor from the recovered knowledge.
   const ActionSummary& t = summary();
   creates_left_ = 0;
   for (std::size_t i = 0; i < creates_.size(); ++i) {
@@ -124,30 +169,36 @@ void NodeCore::Recover() {
 // ------------------------------------------------------------------
 // Change propagation.
 
-bool NodeCore::Apply(DistEvent e) {
-  ActionId changed = kInvalidAction;
-  if (const auto* c = std::get_if<dist::NodeCreate>(&e)) {
-    changed = c->a;
-  } else if (const auto* c = std::get_if<dist::NodeCommit>(&e)) {
-    changed = c->a;
-  } else if (const auto* c = std::get_if<dist::NodeAbort>(&e)) {
-    changed = c->a;
-  } else if (const auto* p = std::get_if<dist::NodePerform>(&e)) {
-    changed = p->a;  // effect (d21) sets the access committed
-  }
-  if (!host_->ApplyNodeEvent(std::move(e))) {
-    failed_ = true;
-    return false;
-  }
-  ++version_;
-  if (changed != kInvalidAction) Changed(changed);
-  return true;
+bool NodeCore::Check(Status s) {
+  if (s.ok()) return true;
+  if (!failed_) status_ = std::move(s);
+  failed_ = true;
+  return false;
 }
 
-void NodeCore::Learned(const std::vector<ActionId>& changed) {
-  if (changed.empty()) return;
+bool NodeCore::Apply(DistEvent e) {
+  const auto [a, s] = ChangedEntry(e);
+  if (!alg_.Defined(*state_, e)) {
+    return Check(Status::Internal("node event unexpectedly undefined: " +
+                                  dist::ToString(e)));
+  }
+  alg_.Apply(*state_, e);
+  ++stats_->node_events;
+  if (!Check(host_->Record(std::move(e), 0))) return false;
+  if (a != kInvalidAction) {
+    ActionSummary entry;
+    entry.AddActive(a);
+    if (s != action::ActionStatus::kActive) entry.SetStatus(a, s);
+    // Always defined: the entry was just installed in our own summary
+    // (precondition (g11), payload <= sender's knowledge).
+    DistEvent send{dist::Send{self_, self_, entry}};
+    alg_.Apply(*state_, send);  // merge into buffer M_i (g21)
+    if (!Check(host_->Record(std::move(send), 0))) return false;
+    if (!Check(host_->Retain(entry))) return false;
+  }
   ++version_;
-  for (ActionId a : changed) Changed(a);
+  if (a != kInvalidAction) Changed(a);
+  return true;
 }
 
 void NodeCore::Changed(ActionId a) {
@@ -224,15 +275,136 @@ void NodeCore::ResolveFinal(std::uint32_t slot) {
 }
 
 // ------------------------------------------------------------------
-// Scheduling.
+// The loop pass: mail, obligations, shipping, watchdog.
 
-bool NodeCore::Work() {
-  bool progress = TryCreates();
-  progress |= TryAborts();
-  progress |= TryObjects();
-  progress |= TryCommits();
+NodeCore::PassResult NodeCore::Pass(Transport& net) {
+  PassResult r;
+  if (failed_) return r;
+  ++passes_;
+  r.progress = Deliver(net);
+  r.progress |= TryCreates();
+  r.progress |= TryAborts();
+  r.progress |= TryObjects();
+  r.progress |= TryCommits();
+  if (failed_) return r;  // ship nothing the host failed to make durable
+  if (!marked_done_ && Done()) {
+    marked_done_ = true;
+    r.finished = true;
+    r.progress = true;
+  }
+  Flush(net);
+  if (r.progress) {
+    idle_ = 0;
+    attempts_ = 0;
+    next_retry_idle_ = kStallRetrySpins;
+    return r;
+  }
+  ++idle_;
+  if (options_.anti_entropy && idle_ >= next_retry_idle_) {
+    Watchdog(net);
+    r.retried = true;
+  }
+  if (!marked_done_ && idle_ > options_.max_idle_spins) {
+    // Permanent starvation (e.g. an unhealed partition): abandon the
+    // rest and degrade to a diagnosed incomplete run instead of hanging.
+    gave_up_ = true;
+    marked_done_ = true;
+    r.finished = true;
+  }
+  return r;
+}
+
+bool NodeCore::Deliver(Transport& net) {
+  std::vector<TransportMessage> due;
+  for (TransportMessage& m : held_) {
+    if (--m.delay <= 0) due.push_back(std::move(m));
+  }
+  std::erase_if(held_, [](const TransportMessage& m) { return m.delay <= 0; });
+  for (TransportMessage& m : net.Poll(self_)) {
+    if (m.delay > 0) {
+      ++stats_->delayed_msgs;
+      held_.push_back(std::move(m));
+    } else {
+      due.push_back(std::move(m));
+    }
+  }
+  bool progress = false;
+  for (TransportMessage& m : due) {
+    ++stats_->messages;
+    stats_->summary_entries += m.summary.size();
+    // The Send is stamped here, on the receiver (the Lamport merge for
+    // the process host), so a transmission the network ate never became
+    // an event at all.
+    if (!Check(host_->Record(DistEvent{dist::Send{m.from, self_, m.summary}},
+                             m.clock))) {
+      break;
+    }
+    state_->buffer[self_].MergeFrom(m.summary);  // (g21), on the receiver
+    // The payload joins the durable M_i in step with the recorded Send,
+    // so a rebirth's replay Receive is legal at its point in the log.
+    if (!Check(host_->Retain(m.summary))) break;
+    if (!Check(host_->Record(DistEvent{dist::Receive{self_, m.summary}}, 0))) {
+      break;
+    }
+    // The sender certainly knows what it sent: advancing its frontier
+    // suppresses echo traffic.
+    delta_.Covered(m.from, m.summary);
+    learned_.clear();
+    if (state_->nodes[self_].summary.MergeFrom(m.summary, &learned_)) {
+      ++version_;
+      for (ActionId a : learned_) Changed(a);
+      progress = true;
+    }
+  }
   return progress;
 }
+
+void NodeCore::Flush(Transport& net) {
+  if (options_.propagation == Propagation::kDelta) {
+    delta_.Flush(summary(), self_, [&](NodeId j, ActionSummary payload) {
+      net.Send(j, TransportMessage{self_, std::move(payload), 0,
+                                   host_->Clock()});
+    });
+    return;
+  }
+  delta_.Clear();
+  Broadcast(net, /*unseen_only=*/true);
+}
+
+/// Ships the whole summary to every peer (that has not seen its current
+/// version, when `unseen_only`). Transmissions are fire-and-forget, by
+/// ℬ's message model: the transport applies (and counts) the faults, and
+/// anti-entropy repairs whatever it ate.
+void NodeCore::Broadcast(Transport& net, bool unseen_only) {
+  const ActionSummary& t = summary();
+  if (t.empty()) return;
+  for (NodeId j = 0; j < topo_.k(); ++j) {
+    if (j == self_ || (unseen_only && shipped_version_[j] == version_)) {
+      continue;
+    }
+    shipped_version_[j] = version_;
+    net.Send(j, TransportMessage{self_, ActionSummary(t), 0, host_->Clock()});
+  }
+}
+
+/// One watchdog firing: an anti-entropy full-summary broadcast (a
+/// dropped delta is gone for good; a healed partition needs a resend)
+/// and, past the escalation threshold, a timeout-abort. The host ticks
+/// its logical clock on a retried pass, so stamp-based rebirths and
+/// partition heals stay live while every node idles.
+void NodeCore::Watchdog(Transport& net) {
+  ++stats_->retries;
+  ++attempts_;
+  Broadcast(net, /*unseen_only=*/false);
+  if (!marked_done_ && attempts_ > options_.max_attempts_per_step &&
+      TimeoutAbort()) {
+    attempts_ = 0;
+  }
+  next_retry_idle_ = idle_ + (kStallRetrySpins << std::min(attempts_, 5));
+}
+
+// ------------------------------------------------------------------
+// Scheduling.
 
 bool NodeCore::TryCreates() {
   const ActionSummary& t = summary();

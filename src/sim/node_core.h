@@ -9,16 +9,18 @@
 
 #include "dist/delta_log.h"
 #include "dist/dist_algebra.h"
+#include "common/status.h"
 #include "sim/dist_driver.h"
+#include "sim/transport.h"
 
 namespace rnt::sim {
 
-/// The transport-independent core of one ℬ node's event loop, shared by
+/// One ℬ node's whole event loop, the single copy both runtimes drive:
 /// the in-process ParallelRunner (one thread per node) and the rnt_node
-/// process (NodeRuntime): the node's planned obligations, the scheduler
-/// that discharges them, and the knowledge-shipping bookkeeping. The
-/// host owns the state, the transport and durability; the core decides
-/// *which* node event to apply next and hands it to the host.
+/// process (NodeRuntime). Per pass it delivers mail, discharges woken
+/// obligations, ships knowledge and runs the watchdog; every node event
+/// goes through DistAlgebra::Defined, Apply, and the WAL self-send. The
+/// host supplies only what differs between the runtimes (see Host).
 ///
 /// Obligations come from one DFS of the universal tree (children in id
 /// order — the sequential driver's schedule): creates of actions whose
@@ -45,26 +47,59 @@ namespace rnt::sim {
 ///    or blocker may have just died). The object's lock table only
 ///    changes through its own processing.
 ///
-/// Rebirth (Recover) rebuilds every cursor from recovered knowledge and
-/// wakes everything. Per-pass work is therefore proportional to what
-/// changed since the last pass, and a whole run to events + obligations.
+/// Rebirth rebuilds every cursor from recovered knowledge and wakes
+/// everything. Per-pass work is therefore proportional to what changed
+/// since the last pass, and a whole run to events + obligations.
 class NodeCore {
  public:
-  /// How the core applies a node event. The host checks
-  /// DistAlgebra::Defined, applies, records and write-ahead-logs it;
-  /// false means the host latched a fatal error (the core stops).
+  /// What differs between the runtimes. Record and Retain return the
+  /// host's failure (I/O on a durable log); the core latches the first
+  /// one and stops.
   class Host {
    public:
-    virtual bool ApplyNodeEvent(dist::DistEvent e) = 0;
+    /// Stamps and records one applied event. `msg_clock` is the transmit
+    /// clock of the message being delivered (0 for the node's own
+    /// events): the process host's Lamport merge.
+    virtual Status Record(dist::DistEvent e, std::uint64_t msg_clock) = 0;
+    /// Appends `payload` to the node's durable M_i. Always called after
+    /// the Send that carried it was recorded (retention ⊆ trace).
+    virtual Status Retain(const dist::ActionSummary& payload) = 0;
+    /// The clock stamped on outgoing transmissions.
+    virtual std::uint64_t Clock() const = 0;
 
    protected:
     ~Host() = default;
   };
 
-  /// `state` holds this node's component (read-only here; the host
-  /// mutates it). `stats` receives the scheduler's counters.
-  NodeCore(const dist::DistAlgebra& alg, NodeId self,
-           const dist::DistState* state, Host* host, DriverStats* stats);
+  struct Options {
+    Propagation propagation = Propagation::kDelta;
+    /// Whether the watchdog's anti-entropy retries run. A host enables
+    /// them when it can lose knowledge: in-process when the plan drops,
+    /// crashes or partitions; always for a process behind a real socket.
+    bool anti_entropy = true;
+    /// Unproductive retries before a timeout-abort (see TimeoutAbort).
+    int max_attempts_per_step = 16;
+    /// Idle passes before the node abandons its remaining obligations.
+    std::uint64_t max_idle_spins = 1u << 20;
+  };
+
+  /// What one Pass did, for the host's own bookkeeping.
+  struct PassResult {
+    bool progress = false;
+    /// The node became done (or gave up) during this pass.
+    bool finished = false;
+    /// The watchdog fired (the host ticks its clock / heartbeats).
+    bool retried = false;
+  };
+
+  /// Idle passes before the first anti-entropy retry; later retries back
+  /// off exponentially (shift capped at 5).
+  static constexpr std::uint64_t kStallRetrySpins = 64;
+
+  /// `state` holds this node's component, which only this core mutates;
+  /// `stats` receives the counters.
+  NodeCore(const dist::DistAlgebra& alg, NodeId self, dist::DistState* state,
+           Host* host, DriverStats* stats, const Options& options);
   NodeCore(const NodeCore&) = delete;
   NodeCore& operator=(const NodeCore&) = delete;
 
@@ -73,61 +108,29 @@ class NodeCore {
   /// everything.
   void Plan(const std::set<ActionId>& abort_set);
 
-  /// Knowledge arrived: `changed` are the summary entries a Receive added
-  /// or upgraded (ActionSummary::MergeFrom's change list).
-  void Learned(const std::vector<ActionId>& changed);
+  /// Rebirth (paper §9.1): one legal Receive of the retained M_i, then
+  /// every cursor is rebuilt from the recovered summary and the durable
+  /// lock table (a performed access carries committed status, effect
+  /// (d21), so ticket cursors are recoverable), the whole summary is
+  /// marked for shipping, and every obligation wakes. Held (undelivered)
+  /// messages were volatile and are gone.
+  void Rebirth(const dist::ActionSummary& retained);
 
-  /// Peer `from` sent `payload`, so it certainly holds it: its delta
-  /// frontier advances (echo suppression).
-  void Covered(NodeId from, const dist::ActionSummary& payload) {
-    delta_.Covered(from, payload);
-  }
-
-  /// Rebirth: rebuilds every cursor from the recovered summary and the
-  /// durable lock table (a performed access carries committed status,
-  /// effect (d21), so ticket cursors are recoverable), marks the whole
-  /// summary as changed for shipping, and wakes every obligation.
-  void Recover();
-
-  /// One scheduling pass over the woken obligations, in the loop order
-  /// creates, aborts, objects, commits. True iff some obligation moved.
-  bool Work();
-
-  /// The watchdog's escalation (the chaos driver's timeout-abort): abort
-  /// the deepest abortable enclosing subtransaction homed here — first
-  /// among a stuck lock holder's ancestors (freeing the lock via the
-  /// lose-lock path), then on the node's own pending commit path (DFS
-  /// post-order scan; orphaning the stuck subtree). Only locally homed
-  /// actions are eligible: a node applies events to its own component
-  /// only (Local Domain — the runtimes' race-freedom invariant). Counted
-  /// in stats.timeout_aborts. True iff an abort was applied.
-  bool TimeoutAbort();
+  /// One loop pass: deliver mail, discharge woken obligations (creates,
+  /// aborts, objects, commits), ship knowledge, and on an idle pass run
+  /// the watchdog — a full-summary anti-entropy broadcast under bounded
+  /// exponential backoff, escalating to TimeoutAbort — and the give-up.
+  PassResult Pass(Transport& net);
 
   /// Every obligation of this node is discharged.
   bool Done() const {
     return creates_left_ == 0 && finals_left_ == 0 && objects_left_ == 0;
   }
-
-  /// Ships pending knowledge: under kDelta calls `ship(j, delta)` for each
-  /// peer with a non-empty delta (only entries beyond its frontier);
-  /// under kEager `ship(j, summary)` for each peer that has not seen the
-  /// current version. Everything since the last flush coalesces into at
-  /// most one payload per peer.
-  template <typename Ship>
-  void Flush(Propagation policy, Ship&& ship) {
-    const dist::ActionSummary& t = summary();
-    if (policy == Propagation::kDelta) {
-      delta_.Flush(t, self_, ship);
-      return;
-    }
-    delta_.Clear();
-    if (t.empty()) return;
-    for (NodeId j = 0; j < shipped_version_.size(); ++j) {
-      if (j == self_ || shipped_version_[j] == version_) continue;
-      shipped_version_[j] = version_;
-      ship(j, dist::ActionSummary(t));
-    }
-  }
+  bool gave_up() const { return gave_up_; }
+  std::uint64_t idle() const { return idle_; }
+  std::uint64_t passes() const { return passes_; }
+  /// The first failure (an undefined event, or a host error).
+  const Status& status() const { return status_; }
 
  private:
   struct ObjectWork {
@@ -142,9 +145,32 @@ class NodeCore {
   const dist::NodeState& node() const { return state_->nodes[self_]; }
   const dist::ActionSummary& summary() const { return node().summary; }
 
-  /// Applies through the host; on success reports the change.
+  /// Latches the first failure; true iff `s` is ok.
+  bool Check(Status s);
+  /// Defined → Apply → record; a summary-changing event is then
+  /// WAL-logged as a one-entry Send{i,i} (recorded, then retained) so M_i
+  /// stays a durable superset of i.T. On success reports the change.
   bool Apply(dist::DistEvent e);
-  /// `a`'s local entry changed: note it for shipping, wake dependents.
+  /// Receives the mail due this pass: Send (merge into M_i) + retain +
+  /// Receive (merge into i.T) per message; delayed ones are held.
+  bool Deliver(Transport& net);
+  /// Ships pending knowledge: under kDelta each peer gets the entries
+  /// beyond its frontier; under kEager the summary, to each peer that
+  /// has not seen its current version. At most one payload per peer.
+  void Flush(Transport& net);
+  void Broadcast(Transport& net, bool unseen_only);
+  void Watchdog(Transport& net);
+  /// The watchdog's escalation (the chaos driver's timeout-abort): abort
+  /// the deepest abortable enclosing subtransaction homed here — first
+  /// among a stuck lock holder's ancestors (freeing the lock via the
+  /// lose-lock path), then on the node's own pending commit path (DFS
+  /// post-order scan; orphaning the stuck subtree). Only locally homed
+  /// actions are eligible: a node applies events to its own component
+  /// only (Local Domain — the runtimes' race-freedom invariant). Counted
+  /// in stats.timeout_aborts. True iff an abort was applied.
+  bool TimeoutAbort();
+  /// `a`'s local entry changed (a node event, or an entry a Receive added
+  /// or upgraded): note it for shipping, wake dependents.
   void Changed(ActionId a);
   void WakeCreate(ActionId a);
   void WakeFinal(ActionId a);
@@ -154,6 +180,8 @@ class NodeCore {
   void ResolveCreate(std::uint32_t slot);
   void ResolveFinal(std::uint32_t slot);
 
+  /// One pass over the woken obligations of each kind, in the loop
+  /// order. True iff some obligation moved.
   bool TryCreates();
   bool TryAborts();
   bool TryObjects();
@@ -166,13 +194,29 @@ class NodeCore {
   ActionId WalkLocks(ObjectId x, ActionId requester, bool* progress);
   bool AbortAncestorHomedHere(ActionId blocker, ActionId requester);
 
+  const dist::DistAlgebra& alg_;
   const dist::Topology& topo_;
   const action::ActionRegistry& reg_;
   const NodeId self_;
-  const dist::DistState* state_;
+  dist::DistState* state_;
   Host* host_;
   DriverStats* stats_;
+  const Options options_;
+  Status status_ = Status::Ok();
   bool failed_ = false;
+
+  /// Messages held back by a delay verdict (volatile), and the scratch
+  /// change list of a Receive (ActionSummary::MergeFrom's).
+  std::vector<TransportMessage> held_;
+  std::vector<ActionId> learned_;
+  /// Watchdog: idle passes, unproductive retries since the last local
+  /// progress, and the idle count at which the next retry fires.
+  std::uint64_t passes_ = 0;
+  std::uint64_t idle_ = 0;
+  int attempts_ = 0;
+  std::uint64_t next_retry_idle_ = kStallRetrySpins;
+  bool marked_done_ = false;
+  bool gave_up_ = false;
 
   /// Creates in DFS order; slot lookup by ActionId (-1: not planned here).
   std::vector<ActionId> creates_;
@@ -203,7 +247,8 @@ class NodeCore {
   /// has since moved on (waiting_on differs) are skipped when they fire.
   std::map<ActionId, std::vector<std::uint32_t>> object_waiters_;
 
-  /// Knowledge shipping: the kDelta change list + per-peer frontiers,
+  /// Knowledge shipping: the kDelta change list + per-peer frontiers
+  /// (a delivery from j advances j's frontier: echo suppression),
   /// and kEager's version (bumped on every node event and every Receive
   /// that taught something) against per-peer last-shipped versions.
   dist::DeltaLog delta_;

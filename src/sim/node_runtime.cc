@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "action/registry.h"
@@ -25,24 +24,22 @@ using dist::DistAlgebra;
 using dist::DistEvent;
 using dist::DistState;
 
-/// One ℬ node running as a whole OS process. This is the in-process
-/// ParallelRunner's per-node loop (parallel_runner.cc) transplanted
-/// behind a Transport, with three substitutions:
+/// One ℬ node running as a whole OS process: the process *host* of the
+/// shared NodeCore loop (node_core.h). What it supplies:
 ///
-///  * the shared atomic stamp counter becomes a per-node Lamport clock
-///    (each recorded event stamps ++clock; a delivery first raises the
-///    clock to the sender's transmit clock, so receiver stamps strictly
-///    follow the transmission and the post-hoc merge by (stamp, node)
-///    is a legal ℬ order);
-///  * the in-memory event log becomes a durable per-incarnation trace
-///    file, appended *before* the retention append of the same fact —
-///    so a kill -9 at any instruction leaves retention ⊆ trace, and the
-///    rebirth Receive of the retention log is legal against the buffer
-///    mirror a mechanical trace replay rebuilds;
-///  * fault injection moves entirely to the hub's link interposer (the
-///    process cannot be trusted to drop its own frames once kill -9 is
-///    real) — the node only *reacts*: held delayed messages, reconnects,
-///    anti-entropy rebroadcasts, give-up.
+///  * stamps from a per-node Lamport clock (each recorded event stamps
+///    ++clock; a delivery first raises the clock to the sender's
+///    transmit clock, so receiver stamps strictly follow the
+///    transmission and the post-hoc merge by (stamp, node) is a legal ℬ
+///    order), written to a durable per-incarnation trace file;
+///  * retention into the RetentionLog, with checkpointing — always after
+///    the trace append of the same fact, so a kill -9 at any instruction
+///    leaves retention ⊆ trace, and the rebirth Receive of the retention
+///    log is legal against the buffer mirror a mechanical trace replay
+///    rebuilds;
+///  * heartbeats to the hub. Message faults are the hub's link
+///    interposer's business (the process cannot be trusted to drop its
+///    own frames once kill -9 is real), and anti-entropy always runs.
 class NodeRuntime final : NodeCore::Host {
  public:
   explicit NodeRuntime(const NodeRuntimeOptions& options)
@@ -51,29 +48,24 @@ class NodeRuntime final : NodeCore::Host {
         topo_(dist::Topology::RoundRobin(&reg_, options.spec.k)),
         alg_(&topo_),
         state_(alg_.Initial()),
-        core_(alg_, options.node, &state_, this, &stats_) {}
+        core_(alg_, options.node, &state_, this, &stats_,
+              NodeCore::Options{.propagation = options.propagation,
+                                .anti_entropy = true,
+                                .max_idle_spins = options.max_idle_spins}) {}
 
   Status Run() {
-    RNT_RETURN_IF_ERROR(Plan());
+    if (options_.node >= topo_.k()) {
+      return Status::InvalidArgument("node id out of range");
+    }
+    // No static abort set here: aborts come only from the watchdog.
+    core_.Plan({});
     RNT_RETURN_IF_ERROR(OpenDurable());
-    if (options_.recover) RNT_RETURN_IF_ERROR(Recover());
+    if (options_.recover) RNT_RETURN_IF_ERROR(Replay());
     RNT_RETURN_IF_ERROR(Connect());
     return Loop();
   }
 
  private:
-  /// The node's obligations (node_core.h). No static abort set here:
-  /// aborts come only from the timeout watchdog.
-  Status Plan() {
-    if (options_.node >= topo_.k()) {
-      return Status::InvalidArgument("node id out of range");
-    }
-    core_.Plan({});
-    next_retry_idle_ =
-        static_cast<std::uint64_t>(std::max(1, options_.stall_retry_spins));
-    return Status::Ok();
-  }
-
   Status OpenDurable() {
     // Retention first: Open repairs a torn tail in place, so the Load
     // below (and every later rebirth) reads a clean prefix.
@@ -89,21 +81,18 @@ class NodeRuntime final : NodeCore::Host {
     return Status::Ok();
   }
 
-  /// Rebirth (paper §9.1). Two durable sources, two roles:
-  ///
-  ///  1. Mechanical replay of this node's own trace files rebuilds the
-  ///     node component exactly as the crashed incarnations left it —
-  ///     summary, lock table, buffer mirror M_i. These events are
-  ///     *already recorded*; they are applied, not re-recorded.
-  ///  2. One Receive of the retention log's summary is recorded as the
-  ///     first event of the new incarnation — the paper's single legal
-  ///     Receive that re-establishes knowledge a crash between apply
-  ///     and trace-append may have cost the summary.
-  ///
-  /// Legality of (2) is structural: every retained fact was traced as a
-  /// Send (self-WAL or delivery) *before* its retention append, so the
-  /// replayed buffer mirror contains the whole retention summary.
-  Status Recover() {
+  /// Rebirth (paper §9.1), part one: mechanical replay of this node's own
+  /// trace files rebuilds the node component exactly as the crashed
+  /// incarnations left it — summary, lock table, buffer mirror M_i.
+  /// These events are *already recorded*; they are applied, not
+  /// re-recorded. Part two is NodeCore::Rebirth in Connect: one Receive
+  /// of the retention log's summary, recorded as the first event of the
+  /// new incarnation, re-establishes knowledge a crash between apply and
+  /// trace-append may have cost the summary. Its legality is structural:
+  /// every retained fact was traced as a Send (self-WAL or delivery)
+  /// *before* its retention append, so the replayed buffer mirror
+  /// contains the whole retention summary.
+  Status Replay() {
     for (std::uint32_t g = 0; g < options_.incarnation; ++g) {
       auto events = EventLog::Load(options_.dir, options_.node, g);
       if (!events.ok()) {
@@ -126,17 +115,8 @@ class NodeRuntime final : NodeCore::Host {
     RNT_RETURN_IF_ERROR(trace.status());
     trace_ = std::move(*trace);
     if (options_.recover) {
-      if (!retained_.empty()) {
-        DistEvent recv{dist::Receive{options_.node, retained_}};
-        if (!alg_.Defined(state_, recv)) {
-          return Status::Internal(
-              "rnt_node: rebirth replay is not a legal Receive (trace-"
-              "before-retention discipline broken)");
-        }
-        alg_.Apply(state_, recv);
-        if (!Record(std::move(recv))) return err_;
-      }
-      core_.Recover();
+      core_.Rebirth(retained_);
+      RNT_RETURN_IF_ERROR(core_.status());
     }
     HelloFrame hello;
     hello.node = options_.node;
@@ -153,57 +133,26 @@ class NodeRuntime final : NodeCore::Host {
     return Status::Ok();
   }
 
-  // ----------------------------------------------------------------
-  // Event loop.
-
   Status Loop() {
     for (;;) {
-      ++passes_;
-      bool progress = false;
-      progress |= DeliverMail();
-      progress |= core_.Work();
-      if (!err_.ok()) return err_;
-      if (!marked_done_ && core_.Done()) {
-        marked_done_ = true;
-        progress = true;
-        // Liveness-only signal: a lost heartbeat is re-sent next pass.
+      const NodeCore::PassResult r = core_.Pass(*transport_);
+      RNT_RETURN_IF_ERROR(core_.status());
+      if (r.retried) ++clock_;  // heartbeat tick: hub-observed time moves
+      if (r.finished || r.retried || (core_.passes() & 0xff) == 0) {
+        // Liveness-only signal (done, give-up, watchdog, or periodic): a
+        // lost heartbeat is indistinguishable from silence and the next
+        // one supersedes it.
         (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
             Heartbeat());
       }
-      Flush();
-      if (!err_.ok()) return err_;
       if (transport_->AllDone()) break;
-      if ((passes_ & 0xff) == 0) {
-        // Periodic liveness; the next beat supersedes a lost one.
-        (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
-            Heartbeat());
+      if (core_.idle() > 10 * options_.max_idle_spins) {
+        break;  // supervisor unreachable for good; exit on our own
       }
-      if (progress) {
-        idle_ = 0;
-        attempts_ = 0;
-        next_retry_idle_ = static_cast<std::uint64_t>(
-            std::max(1, options_.stall_retry_spins));
-      } else {
-        ++idle_;
-        if (options_.stall_retry_spins > 0 && idle_ >= next_retry_idle_) {
-          Watchdog();
-          if (!err_.ok()) return err_;
-        }
-        if (!marked_done_ && idle_ > options_.max_idle_spins) {
-          // Permanent starvation (e.g. an unhealed partition): degrade
-          // to a diagnosed incomplete run instead of hanging.
-          gave_up_ = true;
-          marked_done_ = true;
-          // Best-effort give-up notice; heartbeats repeat each pass.
-          (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
-              Heartbeat());
-        }
-        if (idle_ > 10 * options_.max_idle_spins) {
-          break;  // supervisor unreachable for good; exit on our own
-        }
-        // Single-core friendliness: park on the link for at most 1 ms;
-        // an arriving frame wakes the node at once.
-        if (idle_ > 8) transport_->WaitReadable(/*timeout_ms=*/1);
+      // Single-core friendliness: park on the link for at most 1 ms; an
+      // arriving frame wakes the node at once.
+      if (!r.progress && core_.idle() > 8) {
+        transport_->WaitReadable(/*timeout_ms=*/1);
       }
     }
     // Bounded rebirth: leave the retention log compacted, so the next
@@ -218,174 +167,31 @@ class NodeRuntime final : NodeCore::Host {
     HeartbeatFrame f;
     f.node = options_.node;
     f.clock = clock_;
-    f.done = marked_done_;
-    f.gave_up = gave_up_;
+    f.done = core_.Done() || core_.gave_up();
+    f.gave_up = core_.gave_up();
     f.acked_scalar = SummaryScalar(retained_);
     return f;
   }
 
-  /// Anti-entropy + escalation, mirroring the in-process watchdog: a
-  /// clock tick (so hub-observed time advances while everyone stalls),
-  /// a full-summary rebroadcast, a heartbeat, and past the threshold a
-  /// timeout-abort; bounded-exponential backoff (shift cap 5).
-  void Watchdog() {
-    ++attempts_;
-    ++clock_;  // heartbeat tick
-    FullBroadcast();
-    // Watchdog beat: loss is indistinguishable from silence and the
-    // next backoff round beats again.
-    (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
-        Heartbeat());
-    if (!marked_done_ && attempts_ > options_.max_attempts_per_step) {
-      if (core_.TimeoutAbort()) attempts_ = 0;
-    }
-    const std::uint64_t base = static_cast<std::uint64_t>(
-        std::max(1, options_.stall_retry_spins));
-    next_retry_idle_ = idle_ + (base << std::min(attempts_, 5));
+  Status Record(DistEvent e, std::uint64_t msg_clock) override {
+    clock_ = std::max(clock_, msg_clock);
+    return trace_->Append(++clock_, e);
   }
 
-  /// Stamps and durably traces one event. False latches err_.
-  bool Record(DistEvent e) {
-    const std::uint64_t stamp = ++clock_;
-    const Status s = trace_->Append(stamp, e);
-    if (!s.ok()) {
-      err_ = s;
-      return false;
-    }
-    return true;
-  }
-
-  /// Durability order per fact: trace append (in Record) strictly before
-  /// the retention append here — the invariant the rebirth Receive rests
-  /// on (retention ⊆ traced sends at every kill point).
-  bool RetainDurable(const ActionSummary& payload) {
+  /// Appends to the retention log, then folds into the in-memory mirror
+  /// (so its scalar is durably acknowledged progress).
+  Status Retain(const ActionSummary& payload) override {
     for (const auto& [a, s] : payload.entries()) {
-      const Status w = retention_->Append(a, s);
-      if (!w.ok()) {
-        err_ = w;
-        return false;
-      }
+      RNT_RETURN_IF_ERROR(retention_->Append(a, s));
     }
     retained_.MergeFrom(payload);
     if (retention_->SuggestCheckpoint(retained_.size())) {
-      const Status c = retention_->Checkpoint(retained_);
-      if (!c.ok()) {
-        err_ = c;
-        return false;
-      }
+      return retention_->Checkpoint(retained_);
     }
-    return true;
+    return Status::Ok();
   }
 
-  /// Apply + trace + WAL self-send, the process analogue of the
-  /// in-process ApplyNodeEvent: summary-changing events are followed by
-  /// a one-entry Send{i,i} (traced, then retained) so M_i stays a
-  /// durable superset of the node's acted-on knowledge.
-  bool ApplyNodeEvent(DistEvent e) override {
-    ActionId wal_a = kInvalidAction;
-    action::ActionStatus wal_s = action::ActionStatus::kActive;
-    if (const auto* c = std::get_if<dist::NodeCreate>(&e)) {
-      wal_a = c->a;
-    } else if (const auto* c = std::get_if<dist::NodeCommit>(&e)) {
-      wal_a = c->a;
-      wal_s = action::ActionStatus::kCommitted;
-    } else if (const auto* c = std::get_if<dist::NodeAbort>(&e)) {
-      wal_a = c->a;
-      wal_s = action::ActionStatus::kAborted;
-    } else if (const auto* p = std::get_if<dist::NodePerform>(&e)) {
-      wal_a = p->a;  // effect (d21) sets the access committed
-      wal_s = action::ActionStatus::kCommitted;
-    }
-    if (!alg_.Defined(state_, e)) {
-      err_ = Status::Internal("rnt_node: event unexpectedly undefined: " +
-                              dist::ToString(e));
-      return false;
-    }
-    alg_.Apply(state_, e);
-    if (!Record(std::move(e))) return false;
-    if (wal_a != kInvalidAction) {
-      ActionSummary entry;
-      entry.AddActive(wal_a);
-      if (wal_s != action::ActionStatus::kActive) {
-        entry.SetStatus(wal_a, wal_s);
-      }
-      DistEvent send{dist::Send{options_.node, options_.node, entry}};
-      alg_.Apply(state_, send);  // merge into own buffer mirror (g21)
-      if (!Record(std::move(send))) return false;
-      if (!RetainDurable(entry)) return false;
-    }
-    return true;
-  }
-
-  /// Polls the transport and applies Send + Receive per delivered
-  /// message; delay-verdict messages are held for later passes. The
-  /// Lamport merge happens here: delivery raises the clock past the
-  /// sender's transmit clock before the Send is stamped.
-  bool DeliverMail() {
-    bool progress = false;
-    std::vector<TransportMessage> due;
-    std::vector<ActionId> learned;
-    for (TransportMessage& m : held_) {
-      if (--m.delay <= 0) due.push_back(std::move(m));
-    }
-    std::erase_if(held_,
-                  [](const TransportMessage& m) { return m.delay <= 0; });
-    for (TransportMessage& m : transport_->Poll(options_.node)) {
-      if (m.delay > 0) {
-        held_.push_back(std::move(m));
-      } else {
-        due.push_back(std::move(m));
-      }
-    }
-    for (TransportMessage& m : due) {
-      clock_ = std::max(clock_, m.clock);
-      if (!Record(DistEvent{dist::Send{m.from, options_.node, m.summary}})) {
-        return progress;
-      }
-      state_.buffer[options_.node].MergeFrom(m.summary);
-      if (!RetainDurable(m.summary)) return progress;
-      if (!Record(DistEvent{dist::Receive{options_.node, m.summary}})) {
-        return progress;
-      }
-      // The sender certainly knows what it sent; suppress echo traffic.
-      core_.Covered(m.from, m.summary);
-      learned.clear();
-      if (state_.nodes[options_.node].summary.MergeFrom(m.summary,
-                                                        &learned)) {
-        core_.Learned(learned);
-        progress = true;
-      }
-    }
-    return progress;
-  }
-
-  // ----------------------------------------------------------------
-  // Knowledge shipping.
-
-  void Flush() {
-    core_.Flush(options_.propagation, [this](NodeId j, ActionSummary payload) {
-      Transmit(j, std::move(payload));
-    });
-  }
-
-  void FullBroadcast() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    if (t.empty()) return;
-    for (NodeId j = 0; j < topo_.k(); ++j) {
-      if (j != options_.node) Transmit(j, t);
-    }
-  }
-
-  /// One transmission toward the hub. No event is recorded here — as in
-  /// the in-process runner, the Send is stamped by the *receiver* at
-  /// delivery, so a frame the interposer drops never becomes an event.
-  /// A false return means the link ate it; anti-entropy re-sends.
-  void Transmit(NodeId to, ActionSummary payload) {
-    // Fire-and-forget by ℬ's message model: the network may eat any
-    // transmission, and anti-entropy rebroadcasts repair the gap.
-    (void)transport_->Send(  // rnt-lint: allow(status-must-use)
-        to, TransportMessage{options_.node, std::move(payload), 0, clock_});
-  }
+  std::uint64_t Clock() const override { return clock_; }
 
   const NodeRuntimeOptions& options_;
   action::ActionRegistry reg_;
@@ -395,7 +201,6 @@ class NodeRuntime final : NodeCore::Host {
 
   DriverStats stats_;  // scheduler counters (the trace is the record)
   NodeCore core_;
-  std::vector<TransportMessage> held_;
 
   std::uint64_t clock_ = 0;
   std::unique_ptr<EventLog> trace_;
@@ -405,14 +210,6 @@ class NodeRuntime final : NodeCore::Host {
   /// durably-acknowledged progress the heartbeat reports.
   ActionSummary retained_;
   std::unique_ptr<SocketTransport> transport_;
-
-  std::uint64_t passes_ = 0;
-  std::uint64_t idle_ = 0;
-  int attempts_ = 0;
-  std::uint64_t next_retry_idle_ = 0;
-  bool marked_done_ = false;
-  bool gave_up_ = false;
-  Status err_ = Status::Ok();
 };
 
 }  // namespace

@@ -29,12 +29,9 @@ struct NodeRuntimeOptions {
   /// Hub endpoint ("unix:<path>" or "tcp:<host>:<port>").
   std::string endpoint;
   Propagation propagation = Propagation::kDelta;
-  /// Watchdog tuning, mirroring ParallelOptions: idle passes before the
-  /// first anti-entropy retry, retries before a timeout-abort, and idle
-  /// passes before the node gives up (degrading the run to diagnosed
-  /// incomplete instead of hanging).
-  int stall_retry_spins = 64;
-  int max_attempts_per_step = 16;
+  /// Idle passes before the node gives up (degrading the run to
+  /// diagnosed incomplete instead of hanging). The rest of the watchdog
+  /// runs at NodeCore's defaults.
   std::uint64_t max_idle_spins = 60000;
 };
 

@@ -37,25 +37,22 @@ struct ParallelOptions {
   /// ActionSummary; the supervisor rebirths a fresh thread that replays
   /// the mailbox's durable retention buffer M_i (one legal Receive) and
   /// reconstructs its obligations from the recovered knowledge plus the
-  /// durable lock table. Partitions are enforced link-level at the
-  /// mailbox. Liveness note: when the whole system quiesces before a
-  /// rebirth stamp is reached, the supervisor rebirths early rather than
-  /// deadlock — stamp windows are upper bounds on patience, not exact
-  /// schedules.
+  /// durable lock table. Message faults and partitions are applied per
+  /// sender by the in-process transport (MailboxTransport). Liveness
+  /// note: when the whole system quiesces before a rebirth stamp is
+  /// reached, the supervisor rebirths early rather than deadlock — stamp
+  /// windows are upper bounds on patience, not exact schedules.
   faults::FaultPlan plan;
-  /// Base of the per-node watchdog's bounded exponential backoff:
-  /// consecutive no-progress loop passes before the first full-summary
-  /// re-broadcast (the anti-entropy retry that makes dropped deltas
-  /// recoverable; counted in stats.retries). Subsequent retries back off
-  /// exponentially (shift capped at 5). Each retry also ticks the
-  /// logical clock so stamp-based rebirths/partition heals stay live
-  /// while the system idles.
-  int stall_retry_spins = 64;
-  /// Watchdog escalation threshold: unproductive retries before the node
-  /// timeout-aborts the deepest abortable enclosing subtransaction homed
-  /// locally (first of a stuck blocker's ancestors, then of its own
-  /// pending path) — the dynamic lose-lock/orphan path, for graceful
-  /// degradation under partitions. Counted in stats.timeout_aborts.
+  /// Watchdog escalation threshold. The per-node watchdog (NodeCore)
+  /// re-broadcasts the full summary after NodeCore::kStallRetrySpins idle
+  /// passes, backing off exponentially (the anti-entropy retry that makes
+  /// dropped deltas recoverable; counted in stats.retries; each retry
+  /// also ticks the logical clock). This is the number of unproductive
+  /// retries before the node timeout-aborts the deepest abortable
+  /// enclosing subtransaction homed locally (first of a stuck blocker's
+  /// ancestors, then of its own pending path) — the dynamic
+  /// lose-lock/orphan path, for graceful degradation under partitions.
+  /// Counted in stats.timeout_aborts.
   int max_attempts_per_step = 16;
   /// Consecutive no-progress passes before a node abandons its remaining
   /// obligations (returns an incomplete run rather than spinning forever;

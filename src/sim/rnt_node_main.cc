@@ -3,9 +3,11 @@
 // Spawned (and re-spawned after kill -9) by sim::RunMultiProcess; argv
 // carries the entire configuration so a reborn process reconstructs the
 // exact same seeded program. Exit 0 = clean finish (hub broadcast
-// kAllDone, or terminal give-up); exit 1 = local invariant violation,
-// diagnosed on stderr.
+// kAllDone, or terminal give-up); exit 1 = bad argv (rejected before
+// connecting) or a local invariant violation, diagnosed on stderr.
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,11 +18,32 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: rnt_node --spec=<token> --node=N --dir=DIR "
+    "--endpoint=unix:PATH|tcp:HOST:PORT [--incarnation=G] "
+    "[--recover] [--propagation=delta|eager] [--max-idle-spins=N]\n";
+
 bool TakeFlag(const char* arg, const char* name, std::string* value) {
   const std::size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   *value = arg + n + 1;
   return true;
+}
+
+/// Strict decimal parse: digits only (no sign, no blanks), at most `max`.
+bool ParseCount(const std::string& text, unsigned long long max,
+                unsigned long long* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text.c_str(), &end, 10);
+  return std::isdigit(static_cast<unsigned char>(text.c_str()[0])) != 0 &&
+         *end == '\0' && errno == 0 && *out <= max;
+}
+
+int BadFlag(const char* flag, const std::string& value) {
+  std::fprintf(stderr, "rnt_node: invalid value '%s' for %s\n%s",
+               value.c_str(), flag, kUsage);
+  return 1;
 }
 
 }  // namespace
@@ -30,6 +53,7 @@ int main(int argc, char** argv) {
   bool have_spec = false;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    unsigned long long n = 0;
     if (TakeFlag(argv[i], "--spec", &value)) {
       auto spec = rnt::sim::ProgramSpec::Parse(value);
       if (!spec.ok()) {
@@ -40,34 +64,40 @@ int main(int argc, char** argv) {
       options.spec = *spec;
       have_spec = true;
     } else if (TakeFlag(argv[i], "--node", &value)) {
-      options.node = static_cast<rnt::NodeId>(std::strtoul(value.c_str(),
-                                                           nullptr, 10));
+      if (!ParseCount(value, 0xffffffffu, &n)) return BadFlag("--node", value);
+      options.node = static_cast<rnt::NodeId>(n);
     } else if (TakeFlag(argv[i], "--dir", &value)) {
       options.dir = value;
     } else if (TakeFlag(argv[i], "--endpoint", &value)) {
       options.endpoint = value;
     } else if (TakeFlag(argv[i], "--incarnation", &value)) {
-      options.incarnation = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
+      if (!ParseCount(value, 0xffffffffu, &n)) {
+        return BadFlag("--incarnation", value);
+      }
+      options.incarnation = static_cast<std::uint32_t>(n);
     } else if (TakeFlag(argv[i], "--propagation", &value)) {
-      options.propagation = value == "eager"
-                                ? rnt::sim::Propagation::kEager
-                                : rnt::sim::Propagation::kDelta;
+      if (value == "eager") {
+        options.propagation = rnt::sim::Propagation::kEager;
+      } else if (value == "delta") {
+        options.propagation = rnt::sim::Propagation::kDelta;
+      } else {
+        return BadFlag("--propagation", value);
+      }
     } else if (TakeFlag(argv[i], "--max-idle-spins", &value)) {
-      options.max_idle_spins = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseCount(value, ~0ull, &n)) {
+        return BadFlag("--max-idle-spins", value);
+      }
+      options.max_idle_spins = n;
     } else if (std::strcmp(argv[i], "--recover") == 0) {
       options.recover = true;
     } else {
-      std::fprintf(stderr, "rnt_node: unknown argument '%s'\n", argv[i]);
+      std::fprintf(stderr, "rnt_node: unknown argument '%s'\n%s", argv[i],
+                   kUsage);
       return 1;
     }
   }
   if (!have_spec || options.dir.empty() || options.endpoint.empty()) {
-    std::fprintf(stderr,
-                 "usage: rnt_node --spec=<token> --node=N --dir=DIR "
-                 "--endpoint=unix:PATH|tcp:HOST:PORT [--incarnation=G] "
-                 "[--recover] [--propagation=delta|eager] "
-                 "[--max-idle-spins=N]\n");
+    std::fputs(kUsage, stderr);
     return 1;
   }
   const rnt::Status s = rnt::sim::RunNodeProcess(options);

@@ -197,13 +197,6 @@ std::vector<TransportMessage> SocketTransport::Poll(NodeId /*self*/) {
   return out;
 }
 
-bool SocketTransport::Idle(NodeId /*self*/) {
-  if (!pending_.empty()) return false;
-  if (fd_ < 0) return true;
-  pollfd p{fd_, POLLIN, 0};
-  return ::poll(&p, 1, 0) == 0;
-}
-
 void SocketTransport::WaitReadable(int timeout_ms) {
   if (!pending_.empty()) return;
   if (fd_ < 0) {

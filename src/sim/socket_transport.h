@@ -55,7 +55,6 @@ class SocketTransport final : public Transport {
   // Transport interface (summary traffic).
   bool Send(NodeId to, TransportMessage msg) override;
   std::vector<TransportMessage> Poll(NodeId self) override;
-  bool Idle(NodeId self) override;
 
   /// Parks the caller until a frame is readable on the link or
   /// `timeout_ms` elapses, whichever comes first; returns at once when

@@ -106,14 +106,8 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   SocketHub& hub = **hub_or;
 
   std::vector<Child> children(k);
-  for (const faults::CrashSpec& c : options.plan.crashes) {
-    if (c.node < k) children[c.node].specs.push_back(c);
-  }
-  for (Child& ch : children) {
-    std::sort(ch.specs.begin(), ch.specs.end(),
-              [](const faults::CrashSpec& a, const faults::CrashSpec& b) {
-                return a.TriggerStamp() < b.TriggerStamp();
-              });
+  for (NodeId i = 0; i < k; ++i) {
+    children[i].specs = faults::CrashesOf(options.plan, i);
   }
   // On any early return, make sure no child outlives the harness.
   auto kill_all = [&] {

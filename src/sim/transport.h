@@ -2,20 +2,19 @@
 #define RNT_SIM_TRANSPORT_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
 #include "dist/summary.h"
-#include "sim/message_buffer.h"
 
 namespace rnt::sim {
 
-/// One summary transmission as seen by a transport backend. The `delay`
-/// field is the receiver-side hold count the fault machinery attaches
-/// (see NodeMessage); `clock` carries the sender's Lamport clock for the
-/// socket backends (the in-process backend has a global stamp counter
-/// and ignores it).
+/// One summary transmission, the single message type of every backend.
+/// `delay` is the receiver-side hold count a fault verdict attaches (a
+/// positive value holds the message for that many delivery passes;
+/// distinct delays reorder messages); `clock` carries the sender's
+/// Lamport clock for the socket backends (the in-process backend has a
+/// global stamp counter and ignores it).
 struct TransportMessage {
   NodeId from = 0;
   dist::ActionSummary summary;
@@ -23,65 +22,34 @@ struct TransportMessage {
   std::uint64_t clock = 0;
 };
 
-/// The transport seam of the parallel ℬ runtime: how summaries travel
-/// between nodes. Three interchangeable backends implement it —
+/// The transport seam of the ℬ node loop: how summaries travel between
+/// nodes. Two interchangeable backends implement it —
 ///
-///  * MailboxTransport (below): the in-process ConcurrentMailbox, one
-///    thread per node in one address space;
+///  * MailboxTransport (message_buffer.h): the in-process
+///    ConcurrentMailbox, one thread per node in one address space;
 ///  * SocketTransport (socket_transport.h): a Unix-domain or TCP stream
 ///    to the supervisor's SocketHub, one OS *process* per node.
 ///
-/// The contract mirrors ℬ's message system: Send is fire-and-forget
-/// (the network may eat it — false means the transport already knows it
-/// did, e.g. a severed link), Poll drains everything currently pending
-/// for `self`, and Idle is a racy fast-path hint that Poll would return
-/// nothing. Value-equivalence across backends on the same seed is the
-/// point: the algebra never sees which backend carried its knowledge.
+/// Message faults live in the transport, never in the node: both
+/// backends judge every transmission with a faults::LinkInterposer (per
+/// sender in-process, at the hub for sockets). The contract mirrors ℬ's
+/// message system: Send is fire-and-forget (the network may eat it —
+/// false means the transport already knows it did), and Poll drains
+/// everything currently pending for `self`. Value-equivalence across
+/// backends on the same seed is the point: the algebra never sees which
+/// backend carried its knowledge.
 class Transport {
  public:
   virtual ~Transport() = default;
 
   /// Hands one transmission to the network. Returns false when the
-  /// transport knows the message was lost (severed link, dead peer
-  /// connection); callers count it as a dropped transmission.
+  /// transport knows the message was lost (fault verdict, severed link,
+  /// dead peer connection).
   virtual bool Send(NodeId to, TransportMessage msg) = 0;
 
   /// Drains every transmission currently deliverable to `self`, oldest
   /// first. Single-consumer per destination.
   virtual std::vector<TransportMessage> Poll(NodeId self) = 0;
-
-  /// Fast-path hint: true when Poll(self) would (probably) return
-  /// nothing. Racy by nature — used only to skip empty drains.
-  virtual bool Idle(NodeId self) = 0;
-};
-
-/// The in-process backend: a thin adapter over the lock-free
-/// ConcurrentMailbox the multi-threaded runner always used. Retention
-/// (M_i) and the link-level partition filter stay on the mailbox itself;
-/// this seam carries only the transmissions.
-class MailboxTransport final : public Transport {
- public:
-  explicit MailboxTransport(ConcurrentMailbox* mailbox)
-      : mailbox_(mailbox) {}
-
-  bool Send(NodeId to, TransportMessage msg) override {
-    return mailbox_->Push(
-        to, NodeMessage{msg.from, std::move(msg.summary), msg.delay});
-  }
-
-  std::vector<TransportMessage> Poll(NodeId self) override {
-    std::vector<TransportMessage> out;
-    for (NodeMessage& m : mailbox_->Drain(self)) {
-      out.push_back(
-          TransportMessage{m.from, std::move(m.summary), m.delay, 0});
-    }
-    return out;
-  }
-
-  bool Idle(NodeId self) override { return mailbox_->Empty(self); }
-
- private:
-  ConcurrentMailbox* mailbox_;
 };
 
 }  // namespace rnt::sim

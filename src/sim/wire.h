@@ -50,7 +50,7 @@ struct SummaryFrame {
   NodeId to = 0;
   std::uint64_t clock = 0;
   /// Receiver-side hold passes (fault-injected delay; travels with the
-  /// message exactly as in the in-process NodeMessage).
+  /// message exactly as TransportMessage::delay does in-process).
   std::uint32_t delay = 0;
   dist::ActionSummary summary;
 };

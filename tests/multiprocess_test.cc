@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -239,6 +244,37 @@ TEST(MultiProcessTest, DeterministicFaultsAreDeterministic) {
     } else {
       EXPECT_EQ(values, first);
     }
+  }
+}
+
+/// Runs rnt_node with `flag` appended to an otherwise valid argv; returns
+/// the exit code and fills `err` with its stderr.
+int RunNodeWithFlag(const std::string& flag, std::string* err) {
+  testing::TempDir dir;
+  const std::string err_path = dir.path() + "/stderr.txt";
+  const std::string cmd = std::string(RNT_NODE_BINARY) + " --spec=" +
+                          SmallSpec(1).Serialize() + " --dir=" + dir.path() +
+                          " --endpoint=unix:" + dir.path() + "/no-hub.sock " +
+                          flag + " 2>" + err_path;
+  const int status = std::system(cmd.c_str());
+  std::ifstream in(err_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  *err = text.str();
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(RntNodeArgvTest, RejectsBadValuesBeforeConnecting) {
+  // Each bad value must be refused by name, with the usage line, before
+  // the process dials the (absent) hub.
+  for (const std::string flag :
+       {"--propagation=lazy", "--node=one", "--incarnation=-1",
+        "--max-idle-spins=12x"}) {
+    std::string err;
+    EXPECT_EQ(RunNodeWithFlag(flag, &err), 1) << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(err.find(name), std::string::npos) << flag << ": " << err;
+    EXPECT_NE(err.find("usage: rnt_node"), std::string::npos) << err;
   }
 }
 

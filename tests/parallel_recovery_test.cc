@@ -12,6 +12,7 @@
 #include "sim/chaos_driver.h"
 #include "sim/diagnosis.h"
 #include "sim/parallel_runner.h"
+#include "sim/program_spec.h"
 #include "testutil.h"
 #include "txn/online_checker.h"
 
@@ -233,7 +234,7 @@ TEST(ParallelRecoveryTest, PermanentPartitionDegradesGracefully) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_GE(run->stats.timeout_aborts, 2u)
       << "both unreachable transactions must be timeout-aborted";
-  EXPECT_GT(run->stats.dropped_msgs, 0u) << "the link filter ate traffic";
+  EXPECT_GT(run->stats.dropped_msgs, 0u) << "the partition ate traffic";
   EXPECT_EQ(run->stats.performs, 0u) << "x0 was never reachable";
   // A partitioned, timeout-aborted run: aborted subtrees everywhere —
   // the streaming checker must still concur with post-hoc.
@@ -262,6 +263,47 @@ TEST(ParallelRecoveryTest, RoundEraPlansWorkUnchangedOnStampClock) {
   plan.partitions.push_back(
       faults::PartitionSpec{0, 2, /*from_round=*/5, /*until_round=*/40});
   CheckRecoveredEquivalence(29, plan);
+}
+
+TEST(ParallelRecoveryTest, CrashFiresWithEventRecordingOff) {
+  // The plan runs on the logical clock, which must tick on every event
+  // even when nothing is recorded — otherwise the crash never fires.
+  ProgramSpec spec;
+  spec.seed = 11;
+  spec.top_level = 64;
+  spec.objects = 16;
+  spec.k = 3;
+  const ActionRegistry reg = spec.BuildRegistry();
+  const dist::Topology topo = dist::Topology::RoundRobin(&reg, spec.k);
+  const dist::DistAlgebra alg(&topo);
+  DriverOptions seq_opt;
+  auto seq = RunProgram(alg, seq_opt);
+  ASSERT_TRUE(seq.ok()) << seq.status();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ParallelOptions opt;
+    opt.record_events = false;
+    opt.plan.seed = seed;
+    faults::CrashSpec crash;
+    crash.node = 1;
+    crash.at_stamp = 400;
+    opt.plan.crashes.push_back(crash);
+    auto run = RunParallel(alg, opt);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_TRUE(run->events.empty());
+    EXPECT_TRUE(run->complete) << "seed " << seed;
+    EXPECT_EQ(run->stats.crashes, 1u) << "seed " << seed;
+    EXPECT_EQ(run->stats.recovered_nodes, 1u) << "seed " << seed;
+    // Recovery itself is lossless; only a watchdog timeout-abort (the
+    // graceful-degradation path, reachable when a loaded host starves
+    // the threads long enough) may change the outcome by design.
+    if (run->stats.timeout_aborts > 0) continue;
+    for (ObjectId x = 0; x < spec.objects; ++x) {
+      const NodeId h = topo.HomeOfObject(x);
+      EXPECT_EQ(run->final_state.nodes[h].vmap.Get(x, kRootAction),
+                seq->final_state.nodes[h].vmap.Get(x, kRootAction))
+          << "object " << x << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -25,11 +25,11 @@ TEST(ConcurrentMailboxTest, FifoPerDestination) {
   for (int i = 0; i < 5; ++i) {
     dist::ActionSummary s;
     s.AddActive(static_cast<ActionId>(i + 1));
-    mb.Push(1, NodeMessage{0, std::move(s)});
+    mb.Push(1, TransportMessage{0, std::move(s)});
   }
   EXPECT_TRUE(mb.Empty(0));
   EXPECT_FALSE(mb.Empty(1));
-  std::vector<NodeMessage> got = mb.Drain(1);
+  std::vector<TransportMessage> got = mb.Drain(1);
   ASSERT_EQ(got.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(got[i].summary.Contains(static_cast<ActionId>(i + 1)))
@@ -48,20 +48,20 @@ TEST(ConcurrentMailboxTest, ConcurrentProducersLoseNothing) {
       for (int i = 0; i < kPerProducer; ++i) {
         dist::ActionSummary s;
         s.AddActive(static_cast<ActionId>(p * kPerProducer + i + 1));
-        mb.Push(0, NodeMessage{static_cast<NodeId>(p), std::move(s)});
+        mb.Push(0, TransportMessage{static_cast<NodeId>(p), std::move(s)});
       }
     });
   }
-  std::vector<NodeMessage> got;
+  std::vector<TransportMessage> got;
   // Drain concurrently with the producers; the tail drains after join.
   for (int spin = 0; spin < 100; ++spin) {
-    for (NodeMessage& m : mb.Drain(0)) got.push_back(std::move(m));
+    for (TransportMessage& m : mb.Drain(0)) got.push_back(std::move(m));
   }
   for (std::thread& t : producers) t.join();
-  for (NodeMessage& m : mb.Drain(0)) got.push_back(std::move(m));
+  for (TransportMessage& m : mb.Drain(0)) got.push_back(std::move(m));
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kProducers * kPerProducer));
   std::set<ActionId> ids;
-  for (const NodeMessage& m : got) {
+  for (const TransportMessage& m : got) {
     ASSERT_EQ(m.summary.size(), 1u);
     ids.insert(m.summary.entries().begin()->first);
   }
@@ -218,7 +218,7 @@ TEST(ConcurrentMailboxTest, RetentionIsMonotoneAndSurvivesDrain) {
   ConcurrentMailbox mb(2);
   dist::ActionSummary s1;
   s1.AddActive(1);
-  mb.Push(1, NodeMessage{0, s1});
+  mb.Push(1, TransportMessage{0, s1});
   mb.Retain(1, s1);  // owner thread retains what it drains
   dist::ActionSummary s2;
   s2.AddActive(1);
@@ -231,22 +231,6 @@ TEST(ConcurrentMailboxTest, RetentionIsMonotoneAndSurvivesDrain) {
   EXPECT_TRUE(mb.Retained(1).IsCommitted(1));
   EXPECT_TRUE(mb.Retained(1).IsActive(2));
   EXPECT_TRUE(mb.Retained(0).empty());
-}
-
-TEST(ConcurrentMailboxTest, LinkFilterSeversTransmissions) {
-  ConcurrentMailbox mb(2);
-  mb.SetLinkFilter([](NodeId from, NodeId to) {
-    return from == 0 && to == 1;  // one-way partition for the test
-  });
-  dist::ActionSummary s;
-  s.AddActive(1);
-  EXPECT_FALSE(mb.Push(1, NodeMessage{0, s}));  // severed
-  EXPECT_TRUE(mb.Empty(1));
-  EXPECT_TRUE(mb.Push(0, NodeMessage{1, s}));  // reverse link open
-  EXPECT_FALSE(mb.Empty(0));
-  // Self-sends (the WAL) always pass the filter.
-  EXPECT_TRUE(mb.Push(1, NodeMessage{1, s}));
-  EXPECT_FALSE(mb.Empty(1));
 }
 
 TEST(ParallelRunnerTest, RejectsAccessInAbortSet) {

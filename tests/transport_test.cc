@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -10,8 +12,8 @@
 #include "dist/summary.h"
 #include "faults/link_interposer.h"
 #include "sim/event_log.h"
+#include "sim/message_buffer.h"
 #include "sim/program_spec.h"
-#include "sim/transport.h"
 #include "sim/wire.h"
 #include "storage/file_io.h"
 #include "temp_dir.h"
@@ -260,16 +262,16 @@ TEST(EventLogTest, LoadNodeConcatenatesIncarnationsAcrossGaps) {
 
 TEST(TransportTest, MailboxBackendDeliversFifoPerDestination) {
   ConcurrentMailbox mailbox(3);
-  MailboxTransport transport(&mailbox);
-  EXPECT_TRUE(transport.Idle(1));
+  MailboxTransport transport(&mailbox, 3);
+  EXPECT_TRUE(transport.Poll(1).empty());
   dist::ActionSummary a;
   a.AddActive(1);
   dist::ActionSummary b;
   b.AddActive(2);
   EXPECT_TRUE(transport.Send(1, TransportMessage{0, a, 0, 0}));
   EXPECT_TRUE(transport.Send(1, TransportMessage{2, b, 3, 0}));
-  EXPECT_FALSE(transport.Idle(1));
-  EXPECT_TRUE(transport.Idle(2));
+  EXPECT_FALSE(mailbox.Empty(1));
+  EXPECT_TRUE(mailbox.Empty(2));
   std::vector<TransportMessage> got = transport.Poll(1);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].from, 0u);
@@ -278,8 +280,94 @@ TEST(TransportTest, MailboxBackendDeliversFifoPerDestination) {
   EXPECT_EQ(got[1].from, 2u);
   EXPECT_EQ(got[1].summary, b);
   EXPECT_EQ(got[1].delay, 3);
-  EXPECT_TRUE(transport.Idle(1));
+  EXPECT_TRUE(mailbox.Empty(1));
   EXPECT_TRUE(transport.Poll(1).empty());
+}
+
+TEST(MailboxTransportTest, PerSenderVerdictsMatchLinkInterposer) {
+  // The in-process fault surface is the hub's: one LinkInterposer per
+  // sender, seeded as the per-node injectors always were, so a sender's
+  // draw stream depends only on its own transmissions.
+  faults::FaultPlan plan;
+  plan.seed = 77;
+  plan.drop_prob = 0.25;
+  plan.dup_prob = 0.2;
+  plan.delay_prob = 0.3;
+  plan.max_delay_rounds = 4;
+  constexpr NodeId kNodes = 3;
+  ConcurrentMailbox mailbox(kNodes);
+  std::atomic<std::uint64_t> clock{0};
+  MailboxTransport transport(&mailbox, kNodes, plan, &clock);
+  std::vector<faults::LinkInterposer> reference;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    faults::FaultPlan own = plan;
+    own.seed = plan.seed * 1000003u + 17u * i + 1u;
+    reference.emplace_back(own);
+  }
+  std::uint64_t dropped[kNodes] = {};
+  std::uint64_t duplicated[kNodes] = {};
+  for (int n = 0; n < 600; ++n) {
+    const NodeId from = static_cast<NodeId>((n * 7 / 5) % kNodes);
+    const NodeId to = static_cast<NodeId>((from + 1 + n % 2) % kNodes);
+    dist::ActionSummary s;
+    s.AddActive(static_cast<ActionId>(n + 1));
+    const auto v = reference[from].OnFrame(from, to, 0);
+    EXPECT_EQ(transport.Send(to, TransportMessage{from, s, 0, 0}), !v.drop)
+        << n;
+    std::vector<TransportMessage> got = transport.Poll(to);
+    if (v.drop) {
+      ++dropped[from];
+      EXPECT_TRUE(got.empty()) << n;
+      continue;
+    }
+    ASSERT_EQ(got.size(), v.duplicate_delay >= 0 ? 2u : 1u) << n;
+    if (v.duplicate_delay >= 0) {
+      ++duplicated[from];
+      EXPECT_EQ(got[0].delay, std::max(1, v.duplicate_delay)) << n;
+      EXPECT_EQ(got[0].summary, s) << n;
+    }
+    EXPECT_EQ(got.back().delay, v.delay) << n;
+    EXPECT_EQ(got.back().summary, s) << n;
+    EXPECT_EQ(got.back().from, from) << n;
+  }
+  for (NodeId i = 0; i < kNodes; ++i) {
+    EXPECT_GT(dropped[i], 0u) << i;
+    EXPECT_GT(duplicated[i], 0u) << i;
+    EXPECT_EQ(transport.stats(i).dropped, dropped[i]) << i;
+    EXPECT_EQ(transport.stats(i).duplicated, duplicated[i]) << i;
+  }
+}
+
+TEST(MailboxTransportTest, StampWindowedPartitionDropsOnlyInsideWindow) {
+  faults::FaultPlan plan;
+  faults::PartitionSpec part;
+  part.a = 0;
+  part.b = 1;
+  part.from_stamp = 10;
+  part.until_stamp = 20;
+  plan.partitions.push_back(part);
+  ConcurrentMailbox mailbox(3);
+  std::atomic<std::uint64_t> clock{0};
+  MailboxTransport transport(&mailbox, 3, plan, &clock);
+  dist::ActionSummary s;
+  s.AddActive(1);
+  auto send = [&](std::uint64_t stamp, NodeId from, NodeId to) {
+    clock.store(stamp);
+    const bool sent = transport.Send(to, TransportMessage{from, s, 0, 0});
+    EXPECT_EQ(transport.Poll(to).size(), sent ? 1u : 0u);
+    return sent;
+  };
+  EXPECT_TRUE(send(9, 0, 1));    // before the window
+  EXPECT_FALSE(send(10, 0, 1));  // window opens
+  EXPECT_FALSE(send(15, 1, 0));  // both directions
+  EXPECT_TRUE(send(15, 0, 2));   // other links untouched
+  EXPECT_TRUE(send(15, 2, 1));
+  EXPECT_FALSE(send(19, 0, 1));
+  EXPECT_TRUE(send(20, 0, 1));   // healed
+  EXPECT_TRUE(send(25, 1, 0));
+  EXPECT_EQ(transport.stats(0).dropped, 2u);
+  EXPECT_EQ(transport.stats(1).dropped, 1u);
+  EXPECT_EQ(transport.stats(2).dropped, 0u);
 }
 
 TEST(LinkInterposerTest, DeterministicAcrossInstances) {
