@@ -11,6 +11,11 @@
 // whether every run's final object values matched the fault-free
 // in-process oracle (`values_match` — the sweep's correctness gate),
 // kills delivered, rebirths, and the hub's frame-level fault counters.
+// Socket cells also report where a run's time went, in ms per run: the
+// supervisor's phases (spawn, run, drain, load_replay, merge, and the
+// `unattributed` rest of the measured RunMultiProcess wall time), and
+// the nodes' own counters summed over nodes (time in passes, in their
+// log writes, parked on the socket; passes and persisting passes).
 //
 // A second, fault-free sweep grows the program instead: `top_level`
 // 512..4096 transactions (dist_unix's shape — 256 objects, k = 3) on the
@@ -23,7 +28,9 @@
 // one fault-free seed per backend and the smallest size-sweep point,
 // which still forks real rnt_node processes over both socket families:
 // the bench-smoke cell proves the whole supervisor/hub/node stack end to
-// end on every tier-1 run.
+// end on every tier-1 run. It also fails when a socket run's phases
+// miss its measured wall time by more than 10%: a new unattributed gap
+// in the process boundary fails the smoke run.
 
 #include <algorithm>
 #include <chrono>
@@ -145,6 +152,71 @@ bool OracleValues(const rnt::sim::ProgramSpec& spec,
   return true;
 }
 
+/// Sum of RunMultiProcess phase breakdowns over a cell's runs, against
+/// the wall time of the RunMultiProcess calls themselves.
+struct PhaseSum {
+  int runs = 0;
+  double wall_s = 0;
+  rnt::sim::RunPhases supervisor;
+  rnt::sim::NodePhases nodes;  // summed over every node of every run
+
+  /// Adds one run; false when its phases miss `run_wall_s` by more than
+  /// 10% (the --smoke attribution gate).
+  bool Add(const rnt::sim::RunPhases& p, double run_wall_s) {
+    ++runs;
+    wall_s += run_wall_s;
+    supervisor.spawn_s += p.spawn_s;
+    supervisor.run_s += p.run_s;
+    supervisor.drain_s += p.drain_s;
+    supervisor.load_replay_s += p.load_replay_s;
+    supervisor.merge_s += p.merge_s;
+    for (const rnt::sim::NodePhases& n : p.nodes) {
+      nodes.pass_s += n.pass_s;
+      nodes.persist_s += n.persist_s;
+      nodes.wait_s += n.wait_s;
+      nodes.passes += n.passes;
+      nodes.persists += n.persists;
+    }
+    return std::fabs(p.total_s() - run_wall_s) <= 0.1 * run_wall_s;
+  }
+
+  /// The breakdown as JSON members (leading comma), per run.
+  void Print() const {
+    const double per = runs > 0 ? 1.0 / runs : 0;
+    const double ms = 1000.0 * per;
+    const rnt::sim::RunPhases& p = supervisor;
+    std::printf(
+        ",\"phases_ms\":{\"spawn\":%.2f,\"run\":%.2f,\"drain\":%.2f,"
+        "\"load_replay\":%.2f,\"merge\":%.2f,\"unattributed\":%.2f},"
+        "\"node_ms\":{\"pass\":%.2f,\"persist\":%.2f,\"wait\":%.2f},"
+        "\"node_passes\":%.0f,\"node_persists\":%.0f",
+        p.spawn_s * ms, p.run_s * ms, p.drain_s * ms, p.load_replay_s * ms,
+        p.merge_s * ms, (wall_s - p.total_s()) * ms, nodes.pass_s * ms,
+        nodes.persist_s * ms, nodes.wait_s * ms,
+        static_cast<double>(nodes.passes) * per,
+        static_cast<double>(nodes.persists) * per);
+  }
+};
+
+double MsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Reports a run whose phases miss its wall time; returns false.
+bool Unattributed(const char* where, const rnt::sim::RunPhases& p,
+                  double wall_s) {
+  std::fprintf(stderr,
+               "FAIL: %s: phases sum to %.2f ms but the run took %.2f ms "
+               "(spawn %.2f, run %.2f, drain %.2f, load_replay %.2f, "
+               "merge %.2f)\n",
+               where, p.total_s() * 1e3, wall_s * 1e3, p.spawn_s * 1e3,
+               p.run_s * 1e3, p.drain_s * 1e3, p.load_replay_s * 1e3,
+               p.merge_s * 1e3);
+  return false;
+}
+
 struct CellPoint {
   double rate = 0;
   double wall_ms_per_run = 0;
@@ -159,6 +231,7 @@ struct CellPoint {
   std::uint64_t delayed = 0;
   std::uint64_t reconnects = 0;
   std::uint64_t retries = 0;
+  PhaseSum phases;  // socket backends only
 };
 
 /// Extracts the home-node values for comparison against the oracle.
@@ -177,7 +250,8 @@ std::vector<Value> HomeValues(const rnt::sim::ProgramSpec& spec,
 /// One backend × rate cell over `seeds` program seeds. Returns false on
 /// a harness failure (error already on stderr).
 bool RunCell(Backend backend, double rate, int seeds,
-             const std::string& node_binary, bool first, CellPoint* out) {
+             const std::string& node_binary, bool first, bool smoke,
+             CellPoint* out) {
   CellPoint pt;
   pt.rate = rate;
   double wall_ms = 0;
@@ -225,11 +299,16 @@ bool RunCell(Backend backend, double rate, int seeds,
                         ? rnt::sim::SocketHub::Backend::kUnix
                         : rnt::sim::SocketHub::Backend::kTcp;
       opt.plan = plan;
+      const auto run0 = std::chrono::steady_clock::now();
       auto run = rnt::sim::RunMultiProcess(opt);
+      const double run_wall_s = MsSince(run0) / 1000.0;
       if (!run.ok()) {
         std::fprintf(stderr, "%s run failed: %s\n", BackendName(backend),
                      run.status().ToString().c_str());
         return false;
+      }
+      if (!pt.phases.Add(run->phases, run_wall_s) && smoke) {
+        return Unattributed(BackendName(backend), run->phases, run_wall_s);
       }
       values = HomeValues(spec, topo, run->final_state);
       pt.complete = pt.complete && run->complete;
@@ -254,7 +333,7 @@ bool RunCell(Backend backend, double rate, int seeds,
       "\"complete\":%s,\"kills\":%llu,\"recovered\":%llu,"
       "\"messages\":%llu,\"frames\":%llu,\"dropped\":%llu,"
       "\"duplicated\":%llu,\"delayed\":%llu,\"reconnects\":%llu,"
-      "\"retries\":%llu}",
+      "\"retries\":%llu",
       first ? "" : ",", pt.rate, pt.wall_ms_per_run,
       pt.values_match ? "true" : "false", pt.complete ? "true" : "false",
       static_cast<unsigned long long>(pt.kills),
@@ -266,6 +345,8 @@ bool RunCell(Backend backend, double rate, int seeds,
       static_cast<unsigned long long>(pt.delayed),
       static_cast<unsigned long long>(pt.reconnects),
       static_cast<unsigned long long>(pt.retries));
+  if (backend != Backend::kInProcess) pt.phases.Print();
+  std::printf("}");
   *out = pt;
   return true;
 }
@@ -285,12 +366,14 @@ struct SizePoint {
   double inprocess_ms = 0;
   double unix_ms = 0;
   bool values_match = true;
+  PhaseSum phases;  // the unix runs
 };
 
 /// One fault-free run per backend at `top_level`, median of `reps`
 /// repetitions each. Returns false on a harness failure.
 bool RunSizePoint(std::uint32_t top_level, int reps,
-                  const std::string& node_binary, SizePoint* out) {
+                  const std::string& node_binary, bool smoke,
+                  SizePoint* out) {
   const rnt::sim::ProgramSpec spec = SizedSpec(top_level);
   rnt::action::ActionRegistry reg = spec.BuildRegistry();
   rnt::dist::Topology topo =
@@ -332,13 +415,14 @@ bool RunSizePoint(std::uint32_t top_level, int reps,
     sopt.backend = rnt::sim::SocketHub::Backend::kUnix;
     const auto t1 = std::chrono::steady_clock::now();
     auto mp = rnt::sim::RunMultiProcess(sopt);
-    unix_ms.push_back(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t1)
-                          .count());
+    unix_ms.push_back(MsSince(t1));
     if (!mp.ok()) {
       std::fprintf(stderr, "size sweep: unix run failed at %u: %s\n",
                    top_level, mp.status().ToString().c_str());
       return false;
+    }
+    if (!pt.phases.Add(mp->phases, unix_ms.back() / 1000.0) && smoke) {
+      return Unattributed("size sweep", mp->phases, unix_ms.back() / 1000.0);
     }
     pt.values_match = pt.values_match && mp->complete &&
                       HomeValues(spec, topo, mp->final_state) == oracle;
@@ -383,7 +467,8 @@ int main(int argc, char** argv) {
     bool first_rate = true;
     for (double rate : rates) {
       CellPoint pt;
-      if (!RunCell(backend, rate, seeds, node_binary, first_rate, &pt)) {
+      if (!RunCell(backend, rate, seeds, node_binary, first_rate, smoke,
+                   &pt)) {
         return 1;
       }
       first_rate = false;
@@ -398,7 +483,9 @@ int main(int argc, char** argv) {
   SizePoint prev;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     SizePoint pt;
-    if (!RunSizePoint(sizes[i], smoke ? 1 : 5, node_binary, &pt)) return 1;
+    if (!RunSizePoint(sizes[i], smoke ? 1 : 5, node_binary, smoke, &pt)) {
+      return 1;
+    }
     // Growth exponent against the previous (half-size) point.
     const double inprocess_exp =
         i == 0 ? 0 : std::log2(pt.inprocess_ms / prev.inprocess_ms);
@@ -406,9 +493,11 @@ int main(int argc, char** argv) {
     std::printf(
         "%s{\"top_level\":%u,\"inprocess_ms\":%.2f,\"unix_ms\":%.2f,"
         "\"inprocess_exponent\":%.2f,\"unix_exponent\":%.2f,"
-        "\"values_match\":%s}",
+        "\"values_match\":%s",
         i == 0 ? "" : ",", pt.top_level, pt.inprocess_ms, pt.unix_ms,
         inprocess_exp, unix_exp, pt.values_match ? "true" : "false");
+    pt.phases.Print();
+    std::printf("}");
     all_match = all_match && pt.values_match;
     prev = pt;
   }

@@ -128,7 +128,7 @@ void NodeCore::Rebirth(const ActionSummary& retained) {
       return;
     }
     alg_.Apply(*state_, recv);
-    if (!Check(host_->Record(std::move(recv), 0))) return;
+    if (!Check(host_->Record(std::move(recv), 0)) || !Persist()) return;
   }
   ++stats_->recovered_nodes;
   idle_ = 0;
@@ -286,7 +286,8 @@ NodeCore::PassResult NodeCore::Pass(Transport& net) {
   r.progress |= TryAborts();
   r.progress |= TryObjects();
   r.progress |= TryCommits();
-  if (failed_) return r;  // ship nothing the host failed to make durable
+  // Ship nothing the host failed to make durable.
+  if (failed_ || !Persist()) return r;
   if (!marked_done_ && Done()) {
     marked_done_ = true;
     r.finished = true;
@@ -396,8 +397,9 @@ void NodeCore::Watchdog(Transport& net) {
   ++stats_->retries;
   ++attempts_;
   Broadcast(net, /*unseen_only=*/false);
+  // The abort is the pass's last record: persist it before returning.
   if (!marked_done_ && attempts_ > options_.max_attempts_per_step &&
-      TimeoutAbort()) {
+      TimeoutAbort() && Persist()) {
     attempts_ = 0;
   }
   next_retry_idle_ = idle_ + (kStallRetrySpins << std::min(attempts_, 5));

@@ -52,18 +52,28 @@ namespace rnt::sim {
 /// since the last pass, and a whole run to events + obligations.
 class NodeCore {
  public:
-  /// What differs between the runtimes. Record and Retain return the
-  /// host's failure (I/O on a durable log); the core latches the first
-  /// one and stops.
+  /// What differs between the runtimes. Record, Retain and Persist
+  /// return the host's failure (I/O on a durable log); the core latches
+  /// the first one and stops.
+  ///
+  /// A host may buffer what Record and Retain hand it until Persist:
+  /// the core calls Persist before a pass's first transmission and
+  /// again before the pass returns, so nothing a pass learned leaves
+  /// the node, and no pass ends, before it is durable (per pass: trace
+  /// write → retention write → transmit).
   class Host {
    public:
     /// Stamps and records one applied event. `msg_clock` is the transmit
     /// clock of the message being delivered (0 for the node's own
     /// events): the process host's Lamport merge.
     virtual Status Record(dist::DistEvent e, std::uint64_t msg_clock) = 0;
-    /// Appends `payload` to the node's durable M_i. Always called after
+    /// Adds `payload` to the node's durable M_i. Always called after
     /// the Send that carried it was recorded (retention ⊆ trace).
     virtual Status Retain(const dist::ActionSummary& payload) = 0;
+    /// Makes everything recorded and retained so far durable: the
+    /// recorded events first, then the retained entries, so a kill at
+    /// any instant leaves retention ⊆ trace.
+    virtual Status Persist() = 0;
     /// The clock stamped on outgoing transmissions.
     virtual std::uint64_t Clock() const = 0;
 
@@ -117,9 +127,10 @@ class NodeCore {
   void Rebirth(const dist::ActionSummary& retained);
 
   /// One loop pass: deliver mail, discharge woken obligations (creates,
-  /// aborts, objects, commits), ship knowledge, and on an idle pass run
-  /// the watchdog — a full-summary anti-entropy broadcast under bounded
-  /// exponential backoff, escalating to TimeoutAbort — and the give-up.
+  /// aborts, objects, commits), persist, ship knowledge, and on an idle
+  /// pass run the watchdog — a full-summary anti-entropy broadcast under
+  /// bounded exponential backoff, escalating to TimeoutAbort — and the
+  /// give-up. Returns with everything it recorded persisted.
   PassResult Pass(Transport& net);
 
   /// Every obligation of this node is discharged.
@@ -147,6 +158,8 @@ class NodeCore {
 
   /// Latches the first failure; true iff `s` is ok.
   bool Check(Status s);
+  /// Host::Persist, latched.
+  bool Persist() { return Check(host_->Persist()); }
   /// Defined → Apply → record; a summary-changing event is then
   /// WAL-logged as a one-entry Send{i,i} (recorded, then retained) so M_i
   /// stays a durable superset of i.T. On success reports the change.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "dist/topology.h"
 #include "sim/event_log.h"
 #include "sim/node_core.h"
+#include "sim/phases.h"
 #include "sim/socket_transport.h"
 #include "sim/wire.h"
 #include "storage/retention_log.h"
@@ -32,14 +34,20 @@ using dist::DistState;
 ///    transmit clock, so receiver stamps strictly follow the
 ///    transmission and the post-hoc merge by (stamp, node) is a legal ℬ
 ///    order), written to a durable per-incarnation trace file;
-///  * retention into the RetentionLog, with checkpointing — always after
-///    the trace append of the same fact, so a kill -9 at any instruction
-///    leaves retention ⊆ trace, and the rebirth Receive of the retention
-///    log is legal against the buffer mirror a mechanical trace replay
-///    rebuilds;
-///  * heartbeats to the hub. Message faults are the hub's link
-///    interposer's business (the process cannot be trusted to drop its
-///    own frames once kill -9 is real), and anti-entropy always runs.
+///  * retention into the RetentionLog, with checkpointing;
+///  * one durable write of each log per pass. Record encodes into a
+///    pass buffer and Retain merges into a pending summary (deduped
+///    within the pass); Persist, which the core calls before the pass's
+///    first transmission, writes the trace buffer, then the pending
+///    entries — per pass: trace write → retention write → transmit. So a
+///    kill -9 at any instruction leaves retention ⊆ trace, nothing
+///    transmitted is missing from either log, and the rebirth Receive
+///    of the retention log is legal against the buffer mirror a
+///    mechanical trace replay rebuilds;
+///  * heartbeats to the hub, carrying the phase counters. Message faults
+///    are the hub's link interposer's business (the process cannot be
+///    trusted to drop its own frames once kill -9 is real), and
+///    anti-entropy always runs.
 class NodeRuntime final : NodeCore::Host {
  public:
   explicit NodeRuntime(const NodeRuntimeOptions& options)
@@ -135,7 +143,9 @@ class NodeRuntime final : NodeCore::Host {
 
   Status Loop() {
     for (;;) {
+      const double t0 = MonotonicSeconds();
       const NodeCore::PassResult r = core_.Pass(*transport_);
+      phases_.pass_s += MonotonicSeconds() - t0;
       RNT_RETURN_IF_ERROR(core_.status());
       if (r.retried) ++clock_;  // heartbeat tick: hub-observed time moves
       if (r.finished || r.retried || (core_.passes() & 0xff) == 0) {
@@ -152,7 +162,9 @@ class NodeRuntime final : NodeCore::Host {
       // Single-core friendliness: park on the link for at most 1 ms; an
       // arriving frame wakes the node at once.
       if (!r.progress && core_.idle() > 8) {
+        const double w0 = MonotonicSeconds();
         transport_->WaitReadable(/*timeout_ms=*/1);
+        phases_.wait_s += MonotonicSeconds() - w0;
       }
     }
     // Bounded rebirth: leave the retention log compacted, so the next
@@ -170,24 +182,37 @@ class NodeRuntime final : NodeCore::Host {
     f.done = core_.Done() || core_.gave_up();
     f.gave_up = core_.gave_up();
     f.acked_scalar = SummaryScalar(retained_);
+    f.phases = phases_;
+    f.phases.passes = core_.passes();
     return f;
   }
 
   Status Record(DistEvent e, std::uint64_t msg_clock) override {
     clock_ = std::max(clock_, msg_clock);
-    return trace_->Append(++clock_, e);
+    EventLog::EncodeRecord(trace_batch_, ++clock_, e);
+    return Status::Ok();
   }
 
-  /// Appends to the retention log, then folds into the in-memory mirror
-  /// (so its scalar is durably acknowledged progress).
   Status Retain(const ActionSummary& payload) override {
-    for (const auto& [a, s] : payload.entries()) {
-      RNT_RETURN_IF_ERROR(retention_->Append(a, s));
-    }
-    retained_.MergeFrom(payload);
+    pending_.MergeFrom(payload);
+    return Status::Ok();
+  }
+
+  /// Writes the pass's trace records, then its retained entries, then
+  /// folds those into the in-memory mirror — so the mirror's scalar is
+  /// durably acknowledged progress.
+  Status Persist() override {
+    if (trace_batch_.empty() && pending_.empty()) return Status::Ok();
+    const double t0 = MonotonicSeconds();
+    RNT_RETURN_IF_ERROR(trace_->AppendRecords(trace_batch_));
+    trace_batch_.clear();
+    RNT_RETURN_IF_ERROR(retention_->Append(pending_));
+    retained_.MergeFrom(std::move(pending_));  // leaves pending_ empty
     if (retention_->SuggestCheckpoint(retained_.size())) {
-      return retention_->Checkpoint(retained_);
+      RNT_RETURN_IF_ERROR(retention_->Checkpoint(retained_));
     }
+    ++phases_.persists;
+    phases_.persist_s += MonotonicSeconds() - t0;
     return Status::Ok();
   }
 
@@ -205,11 +230,16 @@ class NodeRuntime final : NodeCore::Host {
   std::uint64_t clock_ = 0;
   std::unique_ptr<EventLog> trace_;
   std::unique_ptr<storage::RetentionLog> retention_;
+  /// The pass's encoded trace records and retained entries, written by
+  /// the next Persist.
+  std::string trace_batch_;
+  ActionSummary pending_;
   /// In-memory mirror of the retention log's deduped content; merged
-  /// only after the corresponding Append returned, so its scalar is the
+  /// only after the corresponding write returned, so its scalar is the
   /// durably-acknowledged progress the heartbeat reports.
   ActionSummary retained_;
   std::unique_ptr<SocketTransport> transport_;
+  NodePhases phases_;
 };
 
 }  // namespace

@@ -117,15 +117,15 @@ class ParallelRunner {
       return Status::Ok();
     }
     /// M_i: the mailbox's in-memory buffer, written through to the
-    /// on-disk retention log when durable_dir is set.
+    /// on-disk retention log (one write per payload) when durable_dir is
+    /// set.
     Status Retain(const ActionSummary& payload) override {
       runner->mailbox_.Retain(id, payload);
       if (runner->retention_logs_.empty()) return Status::Ok();
-      for (const auto& [a, s] : payload.entries()) {
-        RNT_RETURN_IF_ERROR(runner->retention_logs_[id]->Append(a, s));
-      }
-      return Status::Ok();
+      return runner->retention_logs_[id]->Append(payload);
     }
+    /// Record and Retain take effect at once: nothing is buffered.
+    Status Persist() override { return Status::Ok(); }
     std::uint64_t Clock() const override { return 0; }
   };
 

@@ -286,6 +286,7 @@ void SocketHub::ThreadMain() {
         s.done = h.done;
         s.gave_up = h.gave_up;
         s.acked_scalar = std::max(s.acked_scalar, h.acked_scalar);
+        s.phases = h.phases;
         break;
       }
       case FrameType::kAllDone:

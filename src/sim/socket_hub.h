@@ -53,6 +53,8 @@ class SocketHub {
     /// retention log, as reported by the latest recovering kHello.
     std::uint64_t recovered_scalar = 0;
     bool ever_recovered = false;
+    /// The phase counters of the node's latest heartbeat.
+    NodePhases phases;
   };
 
   struct HubStats {

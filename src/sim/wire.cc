@@ -1,5 +1,6 @@
 #include "sim/wire.h"
 
+#include <bit>
 #include <cstring>
 
 #include "storage/wal_format.h"
@@ -39,6 +40,15 @@ class Reader {
     left_ -= 8;
     return true;
   }
+  bool F64(double& v) {
+    std::uint64_t bits = 0;
+    if (!U64(bits)) return false;
+    v = std::bit_cast<double>(bits);
+    return true;
+  }
+  /// EncodeSummary writes entries in strictly increasing id order, so
+  /// each one is appended at the end of the map in O(1); ids out of
+  /// order are malformed.
   bool Summary(dist::ActionSummary& s) {
     std::uint32_t n = 0;
     if (!U32(n)) return false;
@@ -46,9 +56,9 @@ class Reader {
       std::uint32_t a = 0;
       std::uint8_t st = 0;
       if (!U32(a) || !U8(st)) return false;
-      s.AddActive(a);
-      const auto status = static_cast<action::ActionStatus>(st);
-      if (status != action::ActionStatus::kActive) s.SetStatus(a, status);
+      if (i > 0 && a <= last_id_) return false;
+      last_id_ = a;
+      s.AppendLargest(a, static_cast<action::ActionStatus>(st));
     }
     return true;
   }
@@ -57,6 +67,7 @@ class Reader {
  private:
   const unsigned char* p_;
   std::size_t left_;
+  std::uint32_t last_id_ = 0;
 };
 
 constexpr std::uint8_t kEvCreate = 1;
@@ -121,6 +132,11 @@ std::string EncodeHeartbeat(const HeartbeatFrame& f) {
   PutU64(body, f.clock);
   body.push_back(static_cast<char>((f.done ? 1 : 0) | (f.gave_up ? 2 : 0)));
   PutU64(body, f.acked_scalar);
+  PutU64(body, std::bit_cast<std::uint64_t>(f.phases.pass_s));
+  PutU64(body, std::bit_cast<std::uint64_t>(f.phases.persist_s));
+  PutU64(body, std::bit_cast<std::uint64_t>(f.phases.wait_s));
+  PutU64(body, f.phases.passes);
+  PutU64(body, f.phases.persists);
   return Finish(FrameType::kHeartbeat, body);
 }
 
@@ -177,8 +193,11 @@ Status DrainFrames(std::string& buf, std::vector<Frame>& out) {
       case FrameType::kHeartbeat: {
         f.type = FrameType::kHeartbeat;
         std::uint8_t flags = 0;
+        NodePhases& p = f.heartbeat.phases;
         ok = r.U32(f.heartbeat.node) && r.U64(f.heartbeat.clock) &&
-             r.U8(flags) && r.U64(f.heartbeat.acked_scalar);
+             r.U8(flags) && r.U64(f.heartbeat.acked_scalar) &&
+             r.F64(p.pass_s) && r.F64(p.persist_s) && r.F64(p.wait_s) &&
+             r.U64(p.passes) && r.U64(p.persists);
         f.heartbeat.done = (flags & 1) != 0;
         f.heartbeat.gave_up = (flags & 2) != 0;
         break;

@@ -10,6 +10,7 @@
 #include "common/types.h"
 #include "dist/dist_algebra.h"
 #include "dist/summary.h"
+#include "sim/phases.h"
 
 namespace rnt::sim {
 
@@ -31,7 +32,8 @@ enum class FrameType : std::uint8_t {
   /// A summary transmission, either direction (the hub routes it).
   kSummary = 2,
   /// node → hub liveness + progress: Lamport clock, done/gave-up flags,
-  /// and the durably-acknowledged retention scalar.
+  /// the durably-acknowledged retention scalar, and the node's phase
+  /// counters.
   kHeartbeat = 3,
   /// hub → node: every node is done; finish up and exit cleanly.
   kAllDone = 4,
@@ -61,6 +63,7 @@ struct HeartbeatFrame {
   bool done = false;
   bool gave_up = false;
   std::uint64_t acked_scalar = 0;
+  NodePhases phases;
 };
 
 struct Frame {

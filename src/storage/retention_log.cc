@@ -129,10 +129,22 @@ RetentionLog::~RetentionLog() {
 Status RetentionLog::Append(ActionId action, action::ActionStatus status) {
   std::string rec;
   EncodeRecord(rec, action, status);
+  return Write(rec, 1);
+}
+
+Status RetentionLog::Append(const dist::ActionSummary& entries) {
+  if (entries.empty()) return Status::Ok();
+  std::string recs;
+  recs.reserve(entries.size() * (kWalHeaderSize + kRetPayloadSize));
+  for (const auto& [a, s] : entries.entries()) EncodeRecord(recs, a, s);
+  return Write(recs, entries.size());
+}
+
+Status RetentionLog::Write(const std::string& records, std::uint64_t count) {
   MutexLock lk(retention_mu_);
-  RNT_RETURN_IF_ERROR(WriteAll(fd_, rec.data(), rec.size(), path_));
+  RNT_RETURN_IF_ERROR(WriteAll(fd_, records.data(), records.size(), path_));
   if (options_.fsync) RNT_RETURN_IF_ERROR(SyncData(fd_, path_));
-  ++appends_;
+  appends_ += count;
   return Status::Ok();
 }
 

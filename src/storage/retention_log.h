@@ -19,9 +19,13 @@ namespace rnt::storage {
 /// The parallel ℬ runtime retains (action, status) knowledge in
 /// ConcurrentMailbox::Retain before acting on it — the WAL discipline
 /// that makes simulated crash/rebirth sound. This log extends that
-/// discipline to real process death: every Retain is also appended
-/// here, so after kill -9 the node's M_i is rebuilt from disk and
-/// rebirth replays it as the paper's one legal Receive.
+/// discipline to real process death: retained knowledge is also
+/// appended here, so after kill -9 the node's M_i is rebuilt from disk
+/// and rebirth replays it as the paper's one legal Receive. Appends are
+/// batched: the rnt_node process writes one batch per node pass — its
+/// trace write first, then this retention write, then any transmission
+/// (per pass: trace write → retention write → transmit) — and the
+/// in-process runner one batch per Retain call.
 ///
 /// M_i monotonicity makes the format trivial: entries only ever *add*
 /// knowledge (a status may upgrade active → committed/aborted, never
@@ -33,6 +37,9 @@ namespace rnt::storage {
 /// file and truncates an incomplete or CRC-failing final record before
 /// appending (so a kill -9 tear never corrupts later appends), Load
 /// discards the same tear, and mid-file damage is kDataLoss either way.
+/// A batch is a run of ordinary records, so a kill in the middle of one
+/// leaves an intact record prefix plus at most one torn record — the
+/// same tail a single append can leave.
 ///
 /// The same monotonicity bounds recovery (§9.1's compaction hint): once
 /// a status is final, every earlier record for the action is subsumed,
@@ -65,6 +72,8 @@ class RetentionLog {
   /// Appends one retained fact. Thread-safe (the runner's delivery and
   /// self-send paths both retain).
   Status Append(ActionId action, action::ActionStatus status);
+  /// Appends one record per entry of `entries`, with a single write.
+  Status Append(const dist::ActionSummary& entries);
 
   /// Compacts the log to exactly `retained`'s entries at their current
   /// statuses (atomic tmp + rename, then reopened for appending).
@@ -93,6 +102,9 @@ class RetentionLog {
  private:
   RetentionLog(std::string path, int fd, Options options)
       : path_(std::move(path)), options_(options), fd_(fd) {}
+
+  /// Writes `records` (whole encoded records, `count` of them).
+  Status Write(const std::string& records, std::uint64_t count);
 
   const std::string path_;
   const Options options_;

@@ -130,6 +130,57 @@ TEST(RetentionCompactionTest, OpenRepairsTornTailThenAppends) {
   EXPECT_TRUE(loaded->IsAborted(3));
 }
 
+TEST(RetentionCompactionTest, TornBatchLoadsPrefixAndOpenRepairs) {
+  // One write per batch: a kill mid-batch leaves the earlier batches
+  // and an intact record prefix of the torn one; Open cuts the tear so
+  // later batches load.
+  rnt::testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir.path() + "/" + RetentionLog::FileName(4);
+  dist::ActionSummary first;
+  for (ActionId a = 1; a <= 4; ++a) first.AddActive(a);
+  dist::ActionSummary second;
+  for (ActionId a = 10; a <= 15; ++a) {
+    second.AddActive(a);
+    second.SetStatus(a, ActionStatus::kCommitted);
+  }
+  std::uint64_t before_second = 0;
+  {
+    auto log = RetentionLog::Open(dir.path(), 4);
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_TRUE((*log)->Append(first).ok());
+    before_second = FileSize(path);
+    ASSERT_TRUE((*log)->Append(second).ok());
+    EXPECT_EQ((*log)->AppendsSinceCheckpoint(), 10u);
+  }
+  const std::uint64_t record = (FileSize(path) - before_second) / 6;
+  ASSERT_EQ(record, storage::kWalHeaderSize + 5);
+  // Cut 3 whole records plus part of the 4th into the second batch.
+  ASSERT_EQ(::truncate(path.c_str(),
+                       static_cast<off_t>(before_second + 3 * record + 7)),
+            0);
+  auto torn = RetentionLog::Load(dir.path(), 4);
+  ASSERT_TRUE(torn.ok()) << torn.status();
+  EXPECT_EQ(torn->size(), 4u + 3u);
+  for (ActionId a = 10; a <= 12; ++a) EXPECT_TRUE(torn->IsCommitted(a)) << a;
+  EXPECT_FALSE(torn->Contains(13)) << "the torn record is gone";
+
+  dist::ActionSummary third;
+  third.AddActive(20);
+  third.SetStatus(20, ActionStatus::kAborted);
+  {
+    auto log = RetentionLog::Open(dir.path(), 4);
+    ASSERT_TRUE(log.ok()) << log.status();
+    EXPECT_EQ(FileSize(path), before_second + 3 * record) << "tear cut";
+    ASSERT_TRUE((*log)->Append(third).ok());
+  }
+  auto loaded = RetentionLog::Load(dir.path(), 4);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  dist::ActionSummary expected = *torn;
+  expected.MergeFrom(third);
+  EXPECT_EQ(*loaded, expected);
+}
+
 TEST(RetentionCompactionTest, KillMidAppendRecoversDurablePrefix) {
   rnt::testing::TempDir dir;
   ASSERT_TRUE(dir.ok());
