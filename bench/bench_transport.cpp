@@ -11,11 +11,14 @@
 // whether every run's final object values matched the fault-free
 // in-process oracle (`values_match` — the sweep's correctness gate),
 // kills delivered, rebirths, and the hub's frame-level fault counters.
-// Socket cells also report where a run's time went, in ms per run: the
+// Socket cells also report frames the hub ate because their target was
+// down (`unroutable`), and where a run's time went, in ms per run: the
 // supervisor's phases (spawn, run, drain, load_replay, merge, and the
-// `unattributed` rest of the measured RunMultiProcess wall time), and
-// the nodes' own counters summed over nodes (time in passes, in their
-// log writes, parked on the socket; passes and persisting passes).
+// `unattributed` rest of the measured RunMultiProcess wall time; plus
+// `replay_in_run`, the part of `run` the supervisor spent reading and
+// replaying the traces while the nodes ran, which is not added again),
+// and the nodes' own counters summed over nodes (time in passes, in
+// their log writes, parked on the socket; passes and persisting passes).
 //
 // A second, fault-free sweep grows the program instead: `top_level`
 // 512..4096 transactions (dist_unix's shape — 256 objects, k = 3) on the
@@ -170,6 +173,7 @@ struct PhaseSum {
     supervisor.drain_s += p.drain_s;
     supervisor.load_replay_s += p.load_replay_s;
     supervisor.merge_s += p.merge_s;
+    supervisor.replay_in_run_s += p.replay_in_run_s;
     for (const rnt::sim::NodePhases& n : p.nodes) {
       nodes.pass_s += n.pass_s;
       nodes.persist_s += n.persist_s;
@@ -187,11 +191,13 @@ struct PhaseSum {
     const rnt::sim::RunPhases& p = supervisor;
     std::printf(
         ",\"phases_ms\":{\"spawn\":%.2f,\"run\":%.2f,\"drain\":%.2f,"
-        "\"load_replay\":%.2f,\"merge\":%.2f,\"unattributed\":%.2f},"
+        "\"load_replay\":%.2f,\"merge\":%.2f,\"unattributed\":%.2f,"
+        "\"replay_in_run\":%.2f},"
         "\"node_ms\":{\"pass\":%.2f,\"persist\":%.2f,\"wait\":%.2f},"
         "\"node_passes\":%.0f,\"node_persists\":%.0f",
         p.spawn_s * ms, p.run_s * ms, p.drain_s * ms, p.load_replay_s * ms,
-        p.merge_s * ms, (wall_s - p.total_s()) * ms, nodes.pass_s * ms,
+        p.merge_s * ms, (wall_s - p.total_s()) * ms,
+        p.replay_in_run_s * ms, nodes.pass_s * ms,
         nodes.persist_s * ms, nodes.wait_s * ms,
         static_cast<double>(nodes.passes) * per,
         static_cast<double>(nodes.persists) * per);
@@ -230,6 +236,7 @@ struct CellPoint {
   std::uint64_t duplicated = 0;
   std::uint64_t delayed = 0;
   std::uint64_t reconnects = 0;
+  std::uint64_t unroutable = 0;  // hub: target down (0 on in-process)
   std::uint64_t retries = 0;
   PhaseSum phases;  // socket backends only
 };
@@ -320,6 +327,7 @@ bool RunCell(Backend backend, double rate, int seeds,
       pt.duplicated += run->hub.duplicated;
       pt.delayed += run->hub.delayed;
       pt.reconnects += run->hub.reconnects;
+      pt.unroutable += run->hub.unroutable;
       pt.retries += run->stats.retries;
     }
     wall_ms += std::chrono::duration<double, std::milli>(
@@ -333,7 +341,7 @@ bool RunCell(Backend backend, double rate, int seeds,
       "\"complete\":%s,\"kills\":%llu,\"recovered\":%llu,"
       "\"messages\":%llu,\"frames\":%llu,\"dropped\":%llu,"
       "\"duplicated\":%llu,\"delayed\":%llu,\"reconnects\":%llu,"
-      "\"retries\":%llu",
+      "\"unroutable\":%llu,\"retries\":%llu",
       first ? "" : ",", pt.rate, pt.wall_ms_per_run,
       pt.values_match ? "true" : "false", pt.complete ? "true" : "false",
       static_cast<unsigned long long>(pt.kills),
@@ -344,6 +352,7 @@ bool RunCell(Backend backend, double rate, int seeds,
       static_cast<unsigned long long>(pt.duplicated),
       static_cast<unsigned long long>(pt.delayed),
       static_cast<unsigned long long>(pt.reconnects),
+      static_cast<unsigned long long>(pt.unroutable),
       static_cast<unsigned long long>(pt.retries));
   if (backend != Backend::kInProcess) pt.phases.Print();
   std::printf("}");

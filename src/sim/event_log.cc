@@ -1,5 +1,6 @@
 #include "sim/event_log.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -16,6 +17,8 @@ namespace {
 
 constexpr char kTraceMagic[8] = {'R', 'N', 'T', 'T', 'R', 'C', '0', '1'};
 constexpr std::size_t kTraceMagicSize = 8;
+/// Bytes a TraceReader asks for per read (more only for a larger record).
+constexpr std::size_t kReadChunk = 1 << 16;
 
 }  // namespace
 
@@ -68,43 +71,92 @@ Status EventLog::AppendRecords(const std::string& records) {
 
 StatusOr<std::vector<StampedEvent>> EventLog::Load(
     const std::string& dir, NodeId node, std::uint32_t incarnation) {
-  const std::string path = dir + "/" + FileName(node, incarnation);
-  RNT_ASSIGN_OR_RETURN(std::string bytes, storage::ReadFileBytes(path));
+  TraceReader reader(dir + "/" + FileName(node, incarnation));
   std::vector<StampedEvent> out;
-  if (bytes.size() < kTraceMagicSize) return out;  // torn at birth
-  if (std::memcmp(bytes.data(), kTraceMagic, kTraceMagicSize) != 0) {
-    return Status::DataLoss("trace '" + path + "': bad magic");
+  RNT_RETURN_IF_ERROR(reader.Finish(out));
+  return out;
+}
+
+TraceReader::~TraceReader() {
+  if (fd_ >= 0) (void)::close(fd_);
+}
+
+StatusOr<std::size_t> TraceReader::Poll(std::vector<StampedEvent>& out) {
+  if (fd_ < 0) {
+    auto fd = storage::OpenForRead(path_);
+    if (fd.status().code() == StatusCode::kNotFound) return 0;
+    RNT_RETURN_IF_ERROR(fd.status());
+    fd_ = *fd;
   }
-  const auto* base = reinterpret_cast<const unsigned char*>(bytes.data());
-  std::size_t off = kTraceMagicSize;
-  while (off < bytes.size()) {
-    const std::size_t remaining = bytes.size() - off;
-    if (remaining < storage::kWalHeaderSize) break;  // torn tail
+  const std::size_t have = buf_.size();
+  const std::size_t want = std::max(kReadChunk, need_);
+  buf_.resize(have + want);
+  auto n = storage::ReadAt(fd_, buf_.data() + have, want, offset_, path_);
+  buf_.resize(have + (n.ok() ? *n : 0));
+  RNT_RETURN_IF_ERROR(n.status());
+  if (*n == 0) return 0;
+  offset_ += *n;
+  RNT_RETURN_IF_ERROR(Parse(out));
+  return *n;
+}
+
+Status TraceReader::Finish(std::vector<StampedEvent>& out) {
+  for (;;) {
+    RNT_ASSIGN_OR_RETURN(const std::size_t n, Poll(out));
+    if (n == 0) break;
+  }
+  if (fd_ < 0) return Status::NotFound("no such file: " + path_);
+  buf_.clear();  // torn tail (or a file torn before its magic)
+  need_ = 0;
+  return Status::Ok();
+}
+
+Status TraceReader::Parse(std::vector<StampedEvent>& out) {
+  std::size_t off = 0;
+  if (!magic_ok_) {
+    if (buf_.size() < kTraceMagicSize) return Status::Ok();
+    if (std::memcmp(buf_.data(), kTraceMagic, kTraceMagicSize) != 0) {
+      return Status::DataLoss("trace '" + path_ + "': bad magic");
+    }
+    magic_ok_ = true;
+    off = kTraceMagicSize;
+  }
+  const auto* base = reinterpret_cast<const unsigned char*>(buf_.data());
+  // File offset of buf_[0], for error messages.
+  const std::uint64_t at = offset_ - buf_.size();
+  need_ = 0;
+  while (off < buf_.size()) {
+    const std::size_t remaining = buf_.size() - off;
+    if (remaining < storage::kWalHeaderSize) break;  // partial header
     const std::uint32_t crc = storage::GetU32(base + off);
     const std::uint32_t payload_size = storage::GetU32(base + off + 4);
     if (payload_size < 9 || payload_size > (64u << 20)) {
-      return Status::DataLoss("trace '" + path +
+      return Status::DataLoss("trace '" + path_ +
                               "': corrupt record header at offset " +
-                              std::to_string(off));
+                              std::to_string(at + off));
     }
-    if (remaining < storage::kWalHeaderSize + payload_size) break;  // torn
+    const std::size_t record = storage::kWalHeaderSize + payload_size;
+    if (remaining < record) {  // partial payload
+      need_ = record;
+      break;
+    }
     const unsigned char* payload = base + off + storage::kWalHeaderSize;
     if (storage::Crc32(payload, payload_size) != crc) {
-      // A mid-file CRC failure is corruption; at the very end it is the
-      // torn final record of a kill — recoverable by discarding it.
-      if (remaining == storage::kWalHeaderSize + payload_size) break;
-      return Status::DataLoss("trace '" + path + "': CRC mismatch at offset " +
-                              std::to_string(off));
+      // A mid-file CRC failure is corruption; at the very end it may be
+      // the torn final record of a kill, which Finish discards.
+      if (remaining == record) break;
+      return Status::DataLoss("trace '" + path_ +
+                              "': CRC mismatch at offset " +
+                              std::to_string(at + off));
     }
     StampedEvent ev;
     ev.stamp = storage::GetU64(payload);
-    auto decoded = DecodeEvent(payload + 8, payload_size - 8);
-    RNT_RETURN_IF_ERROR(decoded.status());
-    ev.event = std::move(*decoded);
+    RNT_ASSIGN_OR_RETURN(ev.event, DecodeEvent(payload + 8, payload_size - 8));
     out.push_back(std::move(ev));
-    off += storage::kWalHeaderSize + payload_size;
+    off += record;
   }
-  return out;
+  buf_.erase(0, off);
+  return Status::Ok();
 }
 
 StatusOr<std::vector<StampedEvent>> EventLog::LoadNode(const std::string& dir,

@@ -35,6 +35,9 @@ struct StampedEvent {
 /// would corrupt the stream — a new file keeps every tear at a tail.
 /// `LoadNode` concatenates the incarnations in order, tolerating a torn
 /// tail per file (the same WAL-parity policy as storage::RetentionLog).
+/// Every read of a trace goes through TraceReader, the one record
+/// parser: Load drives it to the end of a finished file, and the
+/// supervisor tails each live file with it while the node runs.
 ///
 /// Record: crc32 (u32, over payload) · size (u32) · payload
 /// Payload: stamp u64 · event (wire.h codec).
@@ -73,6 +76,49 @@ class EventLog {
 
   const std::string path_;
   int fd_ = -1;
+};
+
+/// Incremental reader of one incarnation's trace file. It consumes whole
+/// records only, each checked as the log's format demands (magic, header
+/// sanity, CRC, a decodable event); the bytes of a partial record wait
+/// in a buffer bounded by the larger of one read chunk and one record.
+/// Reads go through storage::ReadAt at the reader's own offset, so a
+/// file that is still growing is read exactly once, front to back.
+class TraceReader {
+ public:
+  explicit TraceReader(std::string path) : path_(std::move(path)) {}
+  ~TraceReader();
+
+  TraceReader(const TraceReader&) = delete;
+  TraceReader& operator=(const TraceReader&) = delete;
+
+  /// Reads at most one chunk of what the file gained since the last
+  /// call and appends every record it completes to `out`. Returns the
+  /// bytes read: 0 when nothing is new, including while the file does
+  /// not exist yet. A complete record that fails its CRC is held, not
+  /// consumed: bytes after it make it mid-file corruption (kDataLoss),
+  /// and at Finish it is the torn final write of a kill.
+  StatusOr<std::size_t> Poll(std::vector<StampedEvent>& out);
+
+  /// The writer is gone for good: reads the rest of the file and drops
+  /// its torn tail (a partial final record, or a final record that fails
+  /// its CRC). kNotFound when the file never existed.
+  Status Finish(std::vector<StampedEvent>& out);
+
+ private:
+  /// Consumes the whole records at the front of buf_.
+  Status Parse(std::vector<StampedEvent>& out);
+
+  const std::string path_;
+  int fd_ = -1;
+  /// File offset of the first byte not yet read into buf_.
+  std::uint64_t offset_ = 0;
+  /// Read but unconsumed bytes: the magic (until checked), then at most
+  /// one partial or held record.
+  std::string buf_;
+  /// Bytes the record at the front of buf_ needs in total (0: unknown).
+  std::size_t need_ = 0;
+  bool magic_ok_ = false;
 };
 
 }  // namespace rnt::sim

@@ -44,10 +44,10 @@ using dist::DistState;
 ///    transmitted is missing from either log, and the rebirth Receive
 ///    of the retention log is legal against the buffer mirror a
 ///    mechanical trace replay rebuilds;
-///  * heartbeats to the hub, carrying the phase counters. Message faults
-///    are the hub's link interposer's business (the process cannot be
-///    trusted to drop its own frames once kill -9 is real), and
-///    anti-entropy always runs.
+///  * heartbeats to the hub, carrying the watchdog's and the phase
+///    counters. Message faults are the hub's link interposer's business
+///    (the process cannot be trusted to drop its own frames once kill -9
+///    is real), and anti-entropy always runs.
 class NodeRuntime final : NodeCore::Host {
  public:
   explicit NodeRuntime(const NodeRuntimeOptions& options)
@@ -182,6 +182,8 @@ class NodeRuntime final : NodeCore::Host {
     f.done = core_.Done() || core_.gave_up();
     f.gave_up = core_.gave_up();
     f.acked_scalar = SummaryScalar(retained_);
+    f.retries = stats_.retries;
+    f.timeout_aborts = stats_.timeout_aborts;
     f.phases = phases_;
     f.phases.passes = core_.passes();
     return f;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -83,8 +84,13 @@ Status RunDurableWorkload(const DurableWorkloadOptions& options) {
     // barrier with their commit records already flushed, so without
     // this the kill would usually land on a quiesced WAL; the lingerer
     // guarantees every crash leaves a real in-flight tree for restart
-    // recovery to roll back (undone_txns >= 2, deterministically).
-    std::thread([engine = engine->get(), &options] {
+    // recovery to roll back (undone_txns >= 2, deterministically). The
+    // workers start only once its records are durable: otherwise a
+    // loaded machine can let them reach the crash trigger first.
+    std::promise<void> lingerer_durable;
+    std::future<void> durable = lingerer_durable.get_future();
+    std::thread([engine = engine->get(), &options,
+                 done = std::move(lingerer_durable)]() mutable {
       auto txn = engine->Begin();
       // The lingerer only exists to dirty the WAL before SIGKILL; its
       // operations' outcomes are erased by the crash by construction.
@@ -98,6 +104,7 @@ Status RunDurableWorkload(const DurableWorkloadOptions& options) {
       // Called for its flush side effect; the health snapshot itself is
       // about to be destroyed by the scheduled SIGKILL.
       (void)engine->wal_health();  // rnt-lint: allow(status-must-use)
+      done.set_value();
       // Hold the tree open: no commit, no abort, no destructors — the
       // scheduled SIGKILL is the only way out (the crash trigger is
       // guaranteed to fire: it is below the workers' total op budget).
@@ -108,6 +115,7 @@ Status RunDurableWorkload(const DurableWorkloadOptions& options) {
             std::chrono::seconds(1));
       }
     }).detach();
+    durable.wait();
   }
   std::atomic<std::int64_t> committed{0};
   std::vector<std::thread> threads;

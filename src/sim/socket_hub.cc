@@ -174,6 +174,13 @@ void SocketHub::ThreadMain() {
   faults::LinkInterposer interposer(options_.plan);
   std::vector<Conn> conns;
   std::vector<std::uint32_t> hellos(options_.k, 0);
+  // Summary frames for a node that has not said its first hello yet: a
+  // peer may ship deltas before the node's process is up, and eating
+  // them would stall the run until an anti-entropy retry.
+  std::vector<std::string> held(options_.k);
+  // Per node, the watchdog counters of its earlier incarnations.
+  std::vector<std::uint64_t> base_retries(options_.k, 0);
+  std::vector<std::uint64_t> base_timeout_aborts(options_.k, 0);
 
   auto close_conn = [&](Conn& c) {
     if (c.fd >= 0) {
@@ -209,9 +216,15 @@ void SocketHub::ThreadMain() {
         }
         c.node = static_cast<int>(h.node);
         frame_clock = h.clock;
+        if (hellos[h.node] == 0) c.outbuf += std::exchange(held[h.node], {});
         MutexLock l(hub_mu_);
         NodeStatus& s = status_[h.node];
         s.connected = true;
+        if (h.incarnation != s.incarnation) {
+          // A reborn node counts from 0: bank the dead one's totals.
+          base_retries[h.node] = s.retries;
+          base_timeout_aborts[h.node] = s.timeout_aborts;
+        }
         s.incarnation = h.incarnation;
         s.clock = std::max(s.clock, h.clock);
         if (h.recovered) {
@@ -261,10 +274,19 @@ void SocketHub::ThreadMain() {
           break;
         }
         Conn* dst = conn_of(f.summary.to);
-        if (dst == nullptr) break;  // target down: the network ate it
+        std::string* outbuf = nullptr;
+        if (dst != nullptr) {
+          outbuf = &dst->outbuf;
+        } else if (hellos[f.summary.to] == 0) {
+          outbuf = &held[f.summary.to];  // not up yet: hold for its hello
+        } else {
+          MutexLock l(hub_mu_);
+          ++stats_.unroutable;  // target down: the network ate it
+          break;
+        }
         SummaryFrame out = std::move(f.summary);
         out.delay = static_cast<std::uint32_t>(verdict.delay);
-        dst->outbuf += EncodeSummaryFrame(out);
+        *outbuf += EncodeSummaryFrame(out);
         if (verdict.delay > 0 || verdict.duplicate_delay >= 0) {
           MutexLock l(hub_mu_);
           if (verdict.delay > 0) ++stats_.delayed;
@@ -272,7 +294,7 @@ void SocketHub::ThreadMain() {
         }
         if (verdict.duplicate_delay >= 0) {
           out.delay = static_cast<std::uint32_t>(verdict.duplicate_delay);
-          dst->outbuf += EncodeSummaryFrame(out);
+          *outbuf += EncodeSummaryFrame(out);
         }
         break;
       }
@@ -286,6 +308,8 @@ void SocketHub::ThreadMain() {
         s.done = h.done;
         s.gave_up = h.gave_up;
         s.acked_scalar = std::max(s.acked_scalar, h.acked_scalar);
+        s.retries = base_retries[h.node] + h.retries;
+        s.timeout_aborts = base_timeout_aborts[h.node] + h.timeout_aborts;
         s.phases = h.phases;
         break;
       }

@@ -23,7 +23,10 @@ namespace rnt::sim {
 /// the LinkInterposer, which maps the seeded FaultPlan onto the real
 /// sockets — random drop/duplicate/delay, stamp-windowed partitions
 /// judged on the hub-observed Lamport clock, and one-shot connection
-/// resets when a partition window opens.
+/// resets when a partition window opens. A frame whose target has not
+/// said its first hello yet is held and delivered after that hello; a
+/// frame to a node that was up and is down again (reset, killed) is
+/// lost, the modelled fault, and counted in HubStats::unroutable.
 ///
 /// Threading: one hub thread owns all socket I/O (a poll() loop over
 /// the listener and every node connection). The supervisor thread reads
@@ -53,6 +56,11 @@ class SocketHub {
     /// retention log, as reported by the latest recovering kHello.
     std::uint64_t recovered_scalar = 0;
     bool ever_recovered = false;
+    /// Anti-entropy retries and timeout-aborts summed over the node's
+    /// incarnations: each incarnation's last reported values (a reborn
+    /// node counts from 0 again).
+    std::uint64_t retries = 0;
+    std::uint64_t timeout_aborts = 0;
     /// The phase counters of the node's latest heartbeat.
     NodePhases phases;
   };
@@ -65,6 +73,10 @@ class SocketHub {
     std::uint64_t delayed = 0;
     std::uint64_t resets = 0;        // interposer-forced connection resets
     std::uint64_t reconnects = 0;    // kHello frames beyond the first
+    /// Frames eaten because their target was down (reset by a partition
+    /// or killed). Frames to a node that has not said hello yet are held
+    /// for it instead, so a fault-free run keeps this at 0.
+    std::uint64_t unroutable = 0;
   };
 
   /// Binds, listens, and starts the hub thread.

@@ -4,12 +4,16 @@
 #include <csignal>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -99,6 +103,26 @@ NodeId ComponentOf(const dist::DistAlgebra& alg, const DistEvent& e) {
   return alg.Doer(e);
 }
 
+/// The checks every record of node `node`'s trace must pass before it is
+/// replayed: its stamp strictly follows the node's previous one (the
+/// node's Lamport clock, across incarnations), and it changes only the
+/// node's own components.
+Status CheckRecord(const dist::DistAlgebra& alg, NodeId node,
+                   std::uint64_t* last_stamp, const StampedEvent& se) {
+  if (se.stamp <= *last_stamp) {
+    return Status::DataLoss("node " + std::to_string(node) +
+                            " trace: stamp " + std::to_string(se.stamp) +
+                            " does not follow " + std::to_string(*last_stamp));
+  }
+  *last_stamp = se.stamp;
+  if (ComponentOf(alg, se.event) != node) {
+    return Status::DataLoss("node " + std::to_string(node) +
+                            " trace holds another node's event: " +
+                            dist::ToString(se.event));
+  }
+  return Status::Ok();
+}
+
 /// Adds one merged event to the event-derived run counters.
 void Tally(const DistEvent& e, DriverStats* stats) {
   if (const auto* snd = std::get_if<dist::Send>(&e)) {
@@ -117,6 +141,141 @@ void Tally(const DistEvent& e, DriverStats* stats) {
   if (std::holds_alternative<dist::NodeLoseLock>(e)) ++stats->loses;
 }
 
+/// The fleet's ground truth, built while the nodes run. One Step reads
+/// what each node's current trace file gained (TraceReader: whole,
+/// checked records only), replays every record into run->final_state as
+/// it is read — a node's trace changes only its own components, so this
+/// is the merged log's per-component Apply order — and queues it. It
+/// then emits into run->events, in (stamp, node) order, every queued
+/// event whose stamp is at most the watermark: the least over nodes of
+/// the last stamp read. A node's later records carry larger stamps than
+/// its last one, so nothing at or below the watermark can still arrive,
+/// and the emitted prefix is exactly MergeNodeTraces's order.
+class TraceStream {
+ public:
+  TraceStream(const std::string& dir, NodeId k, const dist::DistAlgebra& alg,
+              MultiProcessRun* run)
+      : dir_(dir), alg_(alg), run_(run), nodes_(k) {
+    run_->final_state = alg_.Initial();
+    for (NodeId i = 0; i < k; ++i) Open(i);
+  }
+
+  /// One tail step over every node. True iff some file had new bytes.
+  StatusOr<bool> Step() {
+    bool read = false;
+    for (NodeId i = 0; i < nodes_.size(); ++i) {
+      Node& n = nodes_[i];
+      const std::size_t from = n.queue.size();
+      RNT_ASSIGN_OR_RETURN(const std::size_t bytes, n.reader->Poll(n.queue));
+      read = read || bytes > 0;
+      RNT_RETURN_IF_ERROR(Replay(i, from));
+    }
+    Emit(Watermark());
+    return read;
+  }
+
+  /// Node `node`'s current incarnation is dead and reaped: finishes its
+  /// file under the torn-tail policy and moves on to the next one. An
+  /// incarnation killed before it opened its trace left no file.
+  Status EndIncarnation(NodeId node) {
+    RNT_RETURN_IF_ERROR(Finish(node));
+    ++nodes_[node].incarnation;
+    Open(node);
+    return Status::Ok();
+  }
+
+  /// Every node has exited: finishes each file (timed as load_replay_s)
+  /// and flushes the queues (merge_s).
+  Status Drain() {
+    const double start_s = MonotonicSeconds();
+    for (NodeId i = 0; i < nodes_.size(); ++i) {
+      RNT_RETURN_IF_ERROR(Finish(i));
+    }
+    const double merge_start_s = MonotonicSeconds();
+    run_->phases.load_replay_s = merge_start_s - start_s;
+    Emit(std::numeric_limits<std::uint64_t>::max());
+    run_->phases.merge_s = MonotonicSeconds() - merge_start_s;
+    return Status::Ok();
+  }
+
+ private:
+  struct Node {
+    std::uint32_t incarnation = 0;
+    std::unique_ptr<TraceReader> reader;
+    std::uint64_t last_stamp = 0;
+    /// Read and replayed, not yet emitted: queue[head..].
+    std::vector<StampedEvent> queue;
+    std::size_t head = 0;
+  };
+
+  void Open(NodeId node) {
+    nodes_[node].reader = std::make_unique<TraceReader>(
+        dir_ + "/" + EventLog::FileName(node, nodes_[node].incarnation));
+  }
+
+  Status Finish(NodeId node) {
+    Node& n = nodes_[node];
+    const std::size_t from = n.queue.size();
+    const Status s = n.reader->Finish(n.queue);
+    if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+    return Replay(node, from);
+  }
+
+  /// Checks and applies queue[from..] of node `node`.
+  Status Replay(NodeId node, std::size_t from) {
+    Node& n = nodes_[node];
+    for (std::size_t j = from; j < n.queue.size(); ++j) {
+      RNT_RETURN_IF_ERROR(CheckRecord(alg_, node, &n.last_stamp, n.queue[j]));
+      alg_.Apply(run_->final_state, n.queue[j].event);
+    }
+    return Status::Ok();
+  }
+
+  std::uint64_t Watermark() const {
+    std::uint64_t w = std::numeric_limits<std::uint64_t>::max();
+    for (const Node& n : nodes_) w = std::min(w, n.last_stamp);
+    return w;
+  }
+
+  /// Moves every queued event with stamp <= `watermark` into
+  /// run->events by (stamp, node), each event moved once.
+  void Emit(std::uint64_t watermark) {
+    const NodeId k = static_cast<NodeId>(nodes_.size());
+    for (;;) {
+      NodeId from = k;
+      std::uint64_t best = watermark;
+      for (NodeId i = 0; i < k; ++i) {
+        const Node& n = nodes_[i];
+        if (n.head == n.queue.size()) continue;
+        const std::uint64_t stamp = n.queue[n.head].stamp;
+        if (stamp < best || (stamp == best && from == k)) {
+          from = i;
+          best = stamp;
+        }
+      }
+      if (from == k) break;
+      DistEvent& e = nodes_[from].queue[nodes_[from].head++].event;
+      Tally(e, &run_->stats);
+      run_->events.push_back(std::move(e));
+    }
+    for (Node& n : nodes_) {
+      if (n.head == n.queue.size()) {
+        n.queue.clear();
+        n.head = 0;
+      } else if (n.head >= n.queue.size() / 2) {
+        n.queue.erase(n.queue.begin(),
+                      n.queue.begin() + static_cast<std::ptrdiff_t>(n.head));
+        n.head = 0;
+      }
+    }
+  }
+
+  const std::string dir_;
+  const dist::DistAlgebra& alg_;
+  MultiProcessRun* const run_;
+  std::vector<Node> nodes_;
+};
+
 }  // namespace
 
 Status MergeNodeTraces(const std::string& dir, NodeId k,
@@ -133,18 +292,7 @@ Status MergeNodeTraces(const std::string& dir, NodeId k,
     traces[i] = std::move(*trace);
     std::uint64_t last_stamp = 0;
     for (const StampedEvent& se : traces[i]) {
-      if (se.stamp <= last_stamp) {
-        return Status::DataLoss(
-            "node " + std::to_string(i) + " trace: stamp " +
-            std::to_string(se.stamp) + " does not follow " +
-            std::to_string(last_stamp));
-      }
-      last_stamp = se.stamp;
-      if (ComponentOf(alg, se.event) != i) {
-        return Status::DataLoss("node " + std::to_string(i) +
-                                " trace holds another node's event: " +
-                                dist::ToString(se.event));
-      }
+      RNT_RETURN_IF_ERROR(CheckRecord(alg, i, &last_stamp, se));
       alg.Apply(run->final_state, se.event);
     }
     total += traces[i].size();
@@ -181,6 +329,12 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   RNT_RETURN_IF_ERROR(faults::ValidatePlan(options.plan, k));
 
   const double spawn_start_s = MonotonicSeconds();
+#if defined(__GLIBC__)
+  // fork copies the supervisor's page tables, so each node's resident
+  // set starts from the supervisor's: hand the heap earlier work freed
+  // (a previous run's replayed state, say) back to the OS first.
+  (void)::malloc_trim(0);
+#endif
 
   SocketHub::Options hub_options;
   hub_options.backend = options.backend;
@@ -219,19 +373,25 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
     children[i].alive = true;
   }
 
-  const double run_start_s = MonotonicSeconds();
+  // The replay's algebra is built while the nodes start up.
+  const action::ActionRegistry reg = options.spec.BuildRegistry();
+  const dist::Topology topo = dist::Topology::RoundRobin(&reg, k);
+  const dist::DistAlgebra alg(&topo);
   MultiProcessRun run;
+  TraceStream stream(options.dir, k, alg, &run);
+
+  const double run_start_s = MonotonicSeconds();
   run.phases.spawn_s = run_start_s - spawn_start_s;
   run.acked_at_kill.assign(k, 0);
   run.recovered_scalar.assign(k, 0);
 
   const std::int64_t start_ms = NowMs();
   std::uint64_t last_clock = 0;
-  int quiet_polls = 0;
-  // ~0.5s of hub-clock silence = quiescence: every live node is stalled
+  std::int64_t clock_moved_ms = start_ms;
+  // 0.5s of hub-clock silence = quiescence: every live node is stalled
   // (or done), so waiting longer for a trigger/rebirth stamp cannot help
   // — the clock only advances with node events and watchdog ticks.
-  constexpr int kQuiescentPolls = 250;
+  constexpr std::int64_t kQuiescentMs = 500;
   bool shutdown = false;
 
   while (!shutdown) {
@@ -251,9 +411,10 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       run.recovered_scalar[i] =
           std::max(run.recovered_scalar[i], snap[i].recovered_scalar);
     }
-    quiet_polls = observed == last_clock ? quiet_polls + 1 : 0;
+    const std::int64_t now_ms = NowMs();
+    if (observed != last_clock) clock_moved_ms = now_ms;
     last_clock = observed;
-    const bool quiesced = quiet_polls >= kQuiescentPolls;
+    const bool quiesced = now_ms - clock_moved_ms >= kQuiescentMs;
 
     // Unexpected deaths: any child exiting before kAllDone is a failure
     // (nodes only exit on their own after the broadcast or a terminal
@@ -298,6 +459,11 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
         return reaped.status();
       }
       hub.ClearNodeProgress(i);  // the reborn incarnation re-earns done
+      const Status ended = stream.EndIncarnation(i);
+      if (!ended.ok()) {
+        kill_all();
+        return ended;
+      }
       ch.alive = false;
       ch.awaiting_rebirth = true;
       ch.rebirth_stamp = spec.RebirthStamp();
@@ -327,7 +493,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       acted = true;
     }
     if (acted) {
-      quiet_polls = 0;
+      clock_moved_ms = NowMs();
       continue;
     }
 
@@ -347,7 +513,16 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       shutdown = true;
       break;
     }
-    PauseMs(2);
+    // Tail step: the nodes' new trace records are read and replayed
+    // now, while the nodes run; the loop pauses only when none came.
+    const double tail_start_s = MonotonicSeconds();
+    auto read = stream.Step();
+    run.phases.replay_in_run_s += MonotonicSeconds() - tail_start_s;
+    if (!read.ok()) {
+      kill_all();
+      return read.status();
+    }
+    if (!*read) PauseMs(2);
   }
 
   const double drain_start_s = MonotonicSeconds();
@@ -407,14 +582,13 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   for (NodeId i = 0; i < k; ++i) {
     run.stats.recovered_nodes +=
         final_snap[i].ever_recovered ? children[i].incarnation : 0;
+    run.stats.retries += final_snap[i].retries;
+    run.stats.timeout_aborts += final_snap[i].timeout_aborts;
   }
 
   // Ground truth: the final state is a mechanical replay of the durable
   // traces, not anything a process claimed over the wire.
-  const action::ActionRegistry reg = options.spec.BuildRegistry();
-  const dist::Topology topo = dist::Topology::RoundRobin(&reg, k);
-  const dist::DistAlgebra alg(&topo);
-  RNT_RETURN_IF_ERROR(MergeNodeTraces(options.dir, k, alg, &run));
+  RNT_RETURN_IF_ERROR(stream.Drain());
   return run;
 }
 

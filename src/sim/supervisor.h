@@ -41,18 +41,24 @@ struct SupervisorOptions {
 };
 
 /// Where a multi-process run's wall time went: the supervisor's five
-/// phases — hub start + forking the nodes, running until every node is
-/// done, draining (reaping the nodes, stopping the hub), loading +
-/// replaying the traces, and merging them into one event log. Each is
-/// timed from its own start to its own end, so work RunMultiProcess does
-/// outside them (plan validation, the durability check, building the
-/// algebra) stays visible as wall time minus total_s().
+/// phases — hub start + forking the nodes (and building the replay's
+/// algebra while they start), running until every node is done,
+/// draining (reaping the nodes, stopping the hub), finishing the trace
+/// files (reading + replaying what the run phase had not), and flushing
+/// the last events into the merged log. Each is timed from its own start
+/// to its own end, so work RunMultiProcess does outside them (plan
+/// validation, the durability check) stays visible as wall time minus
+/// total_s().
 struct RunPhases {
   double spawn_s = 0;
   double run_s = 0;
   double drain_s = 0;
   double load_replay_s = 0;
   double merge_s = 0;
+  /// Informational, inside run_s and not added to total_s(): the
+  /// supervisor's time in tail steps (reading, replaying and merging the
+  /// traces while the nodes run).
+  double replay_in_run_s = 0;
   /// Per node: the phase counters of the last heartbeat the hub received
   /// from it (the latest incarnation's, after a kill).
   std::vector<NodePhases> nodes;
@@ -67,7 +73,7 @@ struct RunPhases {
 struct MultiProcessRun {
   DriverStats stats;
   /// Mechanical replay of the node traces (the ground truth a killed
-  /// process cannot misreport).
+  /// process cannot misreport), streamed while the nodes run.
   dist::DistState final_state;
   /// All nodes' durable traces merged by (Lamport stamp, node id).
   std::vector<dist::DistEvent> events;
@@ -86,11 +92,15 @@ struct MultiProcessRun {
   RunPhases phases;
 };
 
-/// The supervisor's post-run step: rebuilds `run->final_state`,
-/// `run->events` and the event-derived `run->stats` counters (node
-/// events, performs, commits, aborts, releases, loses, messages,
-/// summary entries) from the k node traces in `dir`, and times it into
-/// `run->phases` (load_replay_s, merge_s).
+/// The post-hoc oracle of the supervisor's streamed replay: rebuilds
+/// `run->final_state`, `run->events` and the event-derived `run->stats`
+/// counters (node events, performs, commits, aborts, releases, loses,
+/// messages, summary entries) from the k finished node traces in `dir`,
+/// and times it into `run->phases` (load_replay_s, merge_s).
+/// RunMultiProcess builds the same three while the nodes run (tailing
+/// each node's current trace file, replaying each record as it is read,
+/// emitting events up to the least stamp read across nodes); tests
+/// compare the two over the same directory.
 ///
 /// Node i's trace holds only events whose doer component is nodes[i] or
 /// buffer[i] — its own node events, the Sends it received (stamped on
@@ -105,7 +115,8 @@ Status MergeNodeTraces(const std::string& dir, NodeId k,
 
 /// Runs the whole program across k node processes. Non-ok only for
 /// harness-level failures (spawn/reap trouble, deadline, durability
-/// violations); fault-degraded runs come back ok with complete=false.
+/// violations, a trace that fails its checks); fault-degraded runs come
+/// back ok with complete=false.
 StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options);
 
 }  // namespace rnt::sim

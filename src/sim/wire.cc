@@ -132,6 +132,8 @@ std::string EncodeHeartbeat(const HeartbeatFrame& f) {
   PutU64(body, f.clock);
   body.push_back(static_cast<char>((f.done ? 1 : 0) | (f.gave_up ? 2 : 0)));
   PutU64(body, f.acked_scalar);
+  PutU64(body, f.retries);
+  PutU64(body, f.timeout_aborts);
   PutU64(body, std::bit_cast<std::uint64_t>(f.phases.pass_s));
   PutU64(body, std::bit_cast<std::uint64_t>(f.phases.persist_s));
   PutU64(body, std::bit_cast<std::uint64_t>(f.phases.wait_s));
@@ -196,6 +198,7 @@ Status DrainFrames(std::string& buf, std::vector<Frame>& out) {
         NodePhases& p = f.heartbeat.phases;
         ok = r.U32(f.heartbeat.node) && r.U64(f.heartbeat.clock) &&
              r.U8(flags) && r.U64(f.heartbeat.acked_scalar) &&
+             r.U64(f.heartbeat.retries) && r.U64(f.heartbeat.timeout_aborts) &&
              r.F64(p.pass_s) && r.F64(p.persist_s) && r.F64(p.wait_s) &&
              r.U64(p.passes) && r.U64(p.persists);
         f.heartbeat.done = (flags & 1) != 0;

@@ -32,8 +32,8 @@ enum class FrameType : std::uint8_t {
   /// A summary transmission, either direction (the hub routes it).
   kSummary = 2,
   /// node → hub liveness + progress: Lamport clock, done/gave-up flags,
-  /// the durably-acknowledged retention scalar, and the node's phase
-  /// counters.
+  /// the durably-acknowledged retention scalar, the watchdog's counters
+  /// and the node's phase counters.
   kHeartbeat = 3,
   /// hub → node: every node is done; finish up and exit cleanly.
   kAllDone = 4,
@@ -63,6 +63,9 @@ struct HeartbeatFrame {
   bool done = false;
   bool gave_up = false;
   std::uint64_t acked_scalar = 0;
+  /// This incarnation's anti-entropy retries and timeout-aborts so far.
+  std::uint64_t retries = 0;
+  std::uint64_t timeout_aborts = 0;
   NodePhases phases;
 };
 

@@ -75,7 +75,7 @@ Status SyncDir(const std::string& dir) {
   return Status::Ok();
 }
 
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
+StatusOr<int> OpenForRead(const std::string& path) {
   int fd;
   do {
     fd = ::open(path.c_str(), O_RDONLY);
@@ -86,18 +86,30 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
     }
     return Status::Internal(Errno("open", path));
   }
+  return fd;
+}
+
+StatusOr<std::size_t> ReadAt(int fd, void* data, std::size_t size,
+                             std::uint64_t offset, const std::string& path) {
+  for (;;) {
+    const ssize_t n = ::pread(fd, data, size, static_cast<off_t>(offset));
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno != EINTR) return Status::Internal(Errno("pread", path));
+  }
+}
+
+StatusOr<std::string> ReadFileBytes(const std::string& path) {
+  RNT_ASSIGN_OR_RETURN(const int fd, OpenForRead(path));
   std::string out;
   char buf[1 << 16];
   for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status s = Status::Internal(Errno("read", path));
+    auto n = ReadAt(fd, buf, sizeof(buf), out.size(), path);
+    if (!n.ok()) {
       (void)::close(fd);
-      return s;
+      return n.status();
     }
-    if (n == 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
+    if (*n == 0) break;
+    out.append(buf, *n);
   }
   if (::close(fd) != 0) return Status::Internal(Errno("close", path));
   return out;

@@ -2,6 +2,7 @@
 #define RNT_STORAGE_FILE_IO_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "common/status.h"
@@ -11,8 +12,8 @@ namespace rnt::storage {
 /// Thin checked wrappers over POSIX file I/O. Every syscall return value
 /// is inspected and turned into a Status — the storage layer's durability
 /// claims are only as good as its error handling, and tools/lint enforces
-/// (rule `unchecked-io`) that src/storage never drops a `write`/`fsync`/
-/// `fdatasync` result.
+/// (rule `unchecked-io`) that src/storage never drops a `read`/`pread`/
+/// `write`/`fsync`/`fdatasync` result.
 
 /// Opens `path` for appending, creating it if needed; truncates first
 /// when `truncate` is set. Returns the raw fd (caller closes).
@@ -29,6 +30,17 @@ Status SyncData(int fd, const std::string& path);
 /// fsync on the directory itself, making renames/creates within it
 /// durable (the second half of the atomic-rename snapshot protocol).
 Status SyncDir(const std::string& dir);
+
+/// Opens `path` read-only. kNotFound when absent. Returns the raw fd
+/// (caller closes).
+StatusOr<int> OpenForRead(const std::string& path);
+
+/// One pread of up to `size` bytes at `offset`, retrying EINTR. Returns
+/// the count read: fewer than `size` only at the end of the file, 0 at
+/// it. Every log read (ReadFileBytes, sim::TraceReader) funnels through
+/// here.
+StatusOr<std::size_t> ReadAt(int fd, void* data, std::size_t size,
+                             std::uint64_t offset, const std::string& path);
 
 /// Reads the whole file into a byte string. kNotFound when absent.
 StatusOr<std::string> ReadFileBytes(const std::string& path);

@@ -101,10 +101,10 @@ void JudgeRun(const ProgramSpec& spec, const MultiProcessRun& run,
   EXPECT_TRUE(orphan::CheckOrphanViewConsistency(abstract->tree).ok());
 }
 
-/// The supervisor replays each node's trace on its own and merges the
-/// traces afterwards (MergeNodeTraces); replaying the merged log in
-/// order must reach exactly the same state — every node's summary,
-/// lock table and buffer.
+/// The supervisor replays each node's trace on its own as it reads it
+/// and merges the traces by stamp; replaying the merged log in order
+/// must reach exactly the same state — every node's summary, lock table
+/// and buffer.
 void ExpectMergedReplayGivesFinalState(const ProgramSpec& spec,
                                        const MultiProcessRun& run) {
   action::ActionRegistry reg = spec.BuildRegistry();
@@ -120,6 +120,39 @@ void ExpectMergedReplayGivesFinalState(const ProgramSpec& spec,
         << "node " << i;
     EXPECT_EQ(replayed.buffer[i], run.final_state.buffer[i]) << "node " << i;
   }
+}
+
+/// The supervisor streams the ground truth while the nodes run; the
+/// post-hoc MergeNodeTraces over the same directory must reach the same
+/// merged log, final state and event-derived counters.
+void ExpectStreamMatchesMerge(const ProgramSpec& spec, const std::string& dir,
+                              const MultiProcessRun& run) {
+  action::ActionRegistry reg = spec.BuildRegistry();
+  dist::Topology topo =
+      dist::Topology::RoundRobin(&reg, static_cast<NodeId>(spec.k));
+  dist::DistAlgebra alg(&topo);
+  MultiProcessRun merged;
+  const Status s = MergeNodeTraces(dir, topo.k(), alg, &merged);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(run.events, merged.events);
+  for (NodeId i = 0; i < topo.k(); ++i) {
+    EXPECT_EQ(run.final_state.nodes[i].summary,
+              merged.final_state.nodes[i].summary)
+        << "node " << i;
+    EXPECT_TRUE(run.final_state.nodes[i].vmap ==
+                merged.final_state.nodes[i].vmap)
+        << "node " << i;
+    EXPECT_EQ(run.final_state.buffer[i], merged.final_state.buffer[i])
+        << "node " << i;
+  }
+  EXPECT_EQ(run.stats.node_events, merged.stats.node_events);
+  EXPECT_EQ(run.stats.performs, merged.stats.performs);
+  EXPECT_EQ(run.stats.commits, merged.stats.commits);
+  EXPECT_EQ(run.stats.aborts, merged.stats.aborts);
+  EXPECT_EQ(run.stats.releases, merged.stats.releases);
+  EXPECT_EQ(run.stats.loses, merged.stats.loses);
+  EXPECT_EQ(run.stats.messages, merged.stats.messages);
+  EXPECT_EQ(run.stats.summary_entries, merged.stats.summary_entries);
 }
 
 TEST(MultiProcessTest, UnixBackendMatchesInProcessNoFaults) {
@@ -139,8 +172,11 @@ TEST(MultiProcessTest, UnixBackendMatchesInProcessNoFaults) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->complete);
   EXPECT_EQ(run->kills, 0);
+  // Frames to a node that is still starting are held, not eaten.
+  EXPECT_EQ(run->hub.unroutable, 0u);
   JudgeRun(spec, *run, *oracle);
   ExpectMergedReplayGivesFinalState(spec, *run);
+  ExpectStreamMatchesMerge(spec, dir.path(), *run);
 }
 
 TEST(MultiProcessTest, TcpBackendMatchesInProcess) {
@@ -149,24 +185,32 @@ TEST(MultiProcessTest, TcpBackendMatchesInProcess) {
   auto oracle = InProcessOracle(spec, &reg);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
 
-  testing::TempDir dir;
-  ASSERT_TRUE(dir.ok());
-  SupervisorOptions opt;
-  opt.spec = spec;
-  opt.node_binary = RNT_NODE_BINARY;
-  opt.dir = dir.path();
-  opt.backend = SocketHub::Backend::kTcp;
-  // One kill on the TCP path too: rebirth must be backend-agnostic.
-  faults::CrashSpec crash;
-  crash.node = 1;
-  crash.at_stamp = 12;
-  crash.down_for_stamps = 5;
-  opt.plan.crashes.push_back(crash);
-  auto run = RunMultiProcess(opt);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_TRUE(run->complete);
-  EXPECT_EQ(run->kills, 1);
-  JudgeRun(spec, *run, *oracle);
+  // Fault-free, then with one kill: rebirth must be backend-agnostic.
+  for (const bool kill : {false, true}) {
+    testing::TempDir dir;
+    ASSERT_TRUE(dir.ok());
+    SupervisorOptions opt;
+    opt.spec = spec;
+    opt.node_binary = RNT_NODE_BINARY;
+    opt.dir = dir.path();
+    opt.backend = SocketHub::Backend::kTcp;
+    if (kill) {
+      faults::CrashSpec crash;
+      crash.node = 1;
+      crash.at_stamp = 12;
+      crash.down_for_stamps = 5;
+      opt.plan.crashes.push_back(crash);
+    }
+    auto run = RunMultiProcess(opt);
+    ASSERT_TRUE(run.ok()) << run.status() << " kill " << kill;
+    EXPECT_TRUE(run->complete);
+    EXPECT_EQ(run->kills, kill ? 1 : 0);
+    // Frames to a node still starting are held; only frames to the
+    // killed node while it is down may be lost (the modelled fault).
+    if (!kill) EXPECT_EQ(run->hub.unroutable, 0u);
+    JudgeRun(spec, *run, *oracle);
+    ExpectStreamMatchesMerge(spec, dir.path(), *run);
+  }
 }
 
 TEST(MultiProcessTest, SurvivesCompoundingKillsAndPartitions) {
@@ -227,6 +271,7 @@ TEST(MultiProcessTest, SurvivesCompoundingKillsAndPartitions) {
   EXPECT_GT(run->stats.recovered_nodes, 0u);
   JudgeRun(spec, *run, *oracle);
   ExpectMergedReplayGivesFinalState(spec, *run);
+  ExpectStreamMatchesMerge(spec, dir.path(), *run);
 }
 
 TEST(MultiProcessTest, DeterministicFaultsAreDeterministic) {
@@ -258,6 +303,7 @@ TEST(MultiProcessTest, DeterministicFaultsAreDeterministic) {
     auto run = RunMultiProcess(opt);
     ASSERT_TRUE(run.ok()) << run.status() << " rep " << rep;
     EXPECT_TRUE(run->complete);
+    ExpectStreamMatchesMerge(spec, dir.path(), *run);
     std::vector<Value> values;
     for (ObjectId x = 0; x < static_cast<ObjectId>(spec.objects); ++x) {
       const NodeId h = topo.HomeOfObject(x);
@@ -269,6 +315,35 @@ TEST(MultiProcessTest, DeterministicFaultsAreDeterministic) {
       EXPECT_EQ(values, first);
     }
   }
+}
+
+TEST(MultiProcessTest, ReportsNodeWatchdogCountersUnderDrops) {
+  // The watchdog counters live in the node processes; their heartbeats
+  // carry them to the supervisor, summed over incarnations.
+  ProgramSpec spec = SmallSpec(13);
+  spec.top_level = 8;
+  faults::FaultPlan plan;
+  plan.seed = 17;
+  plan.drop_prob = 0.3;
+  faults::CrashSpec crash;
+  crash.node = 2;
+  crash.at_stamp = 10;
+  crash.down_for_stamps = 4;
+  plan.crashes.push_back(crash);
+
+  testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  SupervisorOptions opt;
+  opt.spec = spec;
+  opt.node_binary = RNT_NODE_BINARY;
+  opt.dir = dir.path();
+  opt.plan = plan;
+  auto run = RunMultiProcess(opt);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(run->complete);
+  EXPECT_GT(run->hub.dropped, 0u);
+  EXPECT_GT(run->stats.retries, 0u);
+  ExpectStreamMatchesMerge(spec, dir.path(), *run);
 }
 
 /// Writes `events` as node `node`'s incarnation-0 trace in `dir`.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "action/action_tree.h"
+#include "common/random.h"
 #include "dist/dist_algebra.h"
 #include "dist/summary.h"
 #include "faults/link_interposer.h"
@@ -128,6 +129,8 @@ TEST(WireTest, FrameCodecsRoundTripThroughDrain) {
   hb.done = true;
   hb.gave_up = false;
   hb.acked_scalar = 17;
+  hb.retries = 9;
+  hb.timeout_aborts = 2;
   hb.phases.pass_s = 0.125;
   hb.phases.persist_s = 3.0e-7;
   hb.phases.wait_s = 12.5;
@@ -161,6 +164,8 @@ TEST(WireTest, FrameCodecsRoundTripThroughDrain) {
   EXPECT_TRUE(frames[2].heartbeat.done);
   EXPECT_FALSE(frames[2].heartbeat.gave_up);
   EXPECT_EQ(frames[2].heartbeat.acked_scalar, hb.acked_scalar);
+  EXPECT_EQ(frames[2].heartbeat.retries, hb.retries);
+  EXPECT_EQ(frames[2].heartbeat.timeout_aborts, hb.timeout_aborts);
   EXPECT_EQ(frames[2].heartbeat.phases, hb.phases);
 
   EXPECT_EQ(frames[3].type, FrameType::kAllDone);
@@ -176,6 +181,8 @@ TEST(WireTest, DrainFramesHandlesArbitrarySplitPoints) {
   f.summary = SampleSummary();
   HeartbeatFrame hb;
   hb.node = 2;
+  hb.retries = 300;
+  hb.timeout_aborts = 1;
   hb.phases.pass_s = 0.5;
   hb.phases.persists = 3;
   const std::string whole =
@@ -191,6 +198,8 @@ TEST(WireTest, DrainFramesHandlesArbitrarySplitPoints) {
     EXPECT_EQ(frames[0].type, FrameType::kSummary);
     EXPECT_EQ(frames[0].summary.summary, f.summary);
     EXPECT_EQ(frames[1].type, FrameType::kHeartbeat);
+    EXPECT_EQ(frames[1].heartbeat.retries, hb.retries);
+    EXPECT_EQ(frames[1].heartbeat.timeout_aborts, hb.timeout_aborts);
     EXPECT_EQ(frames[1].heartbeat.phases, hb.phases);
     EXPECT_EQ(frames[2].type, FrameType::kAllDone);
   }
@@ -223,9 +232,11 @@ TEST(WireTest, DrainFramesRejectsGarbage) {
     EXPECT_EQ(DrainFrames(buf, frames).code(), StatusCode::kDataLoss);
   }
   {
-    // Heartbeat frames cut anywhere in the body (the phase counters
-    // included), with a length prefix that covers the cut.
+    // Heartbeat frames cut anywhere in the body (the watchdog and phase
+    // counters included), with a length prefix that covers the cut.
     HeartbeatFrame hb;
+    hb.retries = 4;
+    hb.timeout_aborts = 1;
     hb.phases.passes = 7;
     const std::string good = EncodeHeartbeat(hb);
     for (std::size_t cut = 1; cut + 5 < good.size(); ++cut) {
@@ -373,6 +384,158 @@ TEST(EventLogTest, LoadNodeConcatenatesIncarnationsAcrossGaps) {
   auto none = EventLog::LoadNode(dir.path(), 7);
   ASSERT_TRUE(none.ok()) << none.status();
   EXPECT_TRUE(none->empty());
+}
+
+/// A trace of mixed events, one of them a Receive whose record is larger
+/// than a TraceReader's read chunk. Returns the file's bytes; `ends`
+/// gets the file offset just past each record.
+std::string WriteMixedTrace(const std::string& dir, NodeId node,
+                            std::vector<std::size_t>* ends) {
+  dist::ActionSummary big;
+  for (ActionId a = 1; a <= 20000; ++a) big.AddActive(a);
+  std::string batch;
+  std::vector<std::size_t> rel;
+  for (std::uint64_t stamp = 1; stamp <= 40; ++stamp) {
+    const auto a = static_cast<ActionId>(stamp);
+    dist::DistEvent e =
+        stamp == 17   ? dist::DistEvent{dist::Receive{node, big}}
+        : stamp % 3 == 0 ? dist::DistEvent{dist::Receive{node, SampleSummary()}}
+        : stamp % 3 == 1 ? dist::DistEvent{dist::NodeCreate{node, a}}
+                         : dist::DistEvent{dist::NodePerform{node, a, Value{7}}};
+    EventLog::EncodeRecord(batch, stamp, e);
+    rel.push_back(batch.size());
+  }
+  {
+    auto log = EventLog::Open(dir, node, 0);
+    EXPECT_TRUE(log.ok()) << log.status();
+    if (!log.ok()) return "";
+    EXPECT_TRUE((*log)->AppendRecords(batch).ok());
+  }
+  auto bytes =
+      storage::ReadFileBytes(dir + "/" + EventLog::FileName(node, 0));
+  EXPECT_TRUE(bytes.ok());
+  const std::size_t magic = bytes->size() - batch.size();
+  for (const std::size_t end : rel) ends->push_back(magic + end);
+  return *bytes;
+}
+
+void ExpectSameRecords(const std::vector<StampedEvent>& got,
+                       const std::vector<StampedEvent>& want,
+                       std::size_t count) {
+  ASSERT_EQ(got.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(got[i].stamp, want[i].stamp) << "record " << i;
+    EXPECT_EQ(got[i].event, want[i].event) << "record " << i;
+  }
+}
+
+TEST(TraceReaderTest, RandomByteSplitsGiveLoadsRecords) {
+  // A live trace grows by arbitrary byte counts (mid-magic, mid-header,
+  // mid-payload); after each growth the reader must have handed out
+  // exactly the records complete so far, and in the end what Load reads.
+  testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  std::vector<std::size_t> ends;
+  const std::string bytes = WriteMixedTrace(dir.path(), 1, &ends);
+  ASSERT_FALSE(bytes.empty());
+  auto loaded = EventLog::Load(dir.path(), 1, 0);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), ends.size());
+
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const std::string path =
+        dir.path() + "/live-" + std::to_string(seed) + ".log";
+    TraceReader reader(path);
+    std::vector<StampedEvent> got;
+    auto before = reader.Poll(got);  // the file does not exist yet
+    ASSERT_TRUE(before.ok()) << before.status();
+    EXPECT_EQ(*before, 0u);
+    auto fd = storage::OpenForAppend(path, /*truncate=*/true);
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      const std::size_t piece = std::min<std::size_t>(
+          bytes.size() - written,
+          static_cast<std::size_t>(rng.Range(1, seed % 2 == 0 ? 40 : 9000)));
+      ASSERT_TRUE(
+          storage::WriteAll(*fd, bytes.data() + written, piece, path).ok());
+      written += piece;
+      for (;;) {
+        auto n = reader.Poll(got);
+        ASSERT_TRUE(n.ok()) << n.status();
+        if (*n == 0) break;
+      }
+      const auto complete = static_cast<std::size_t>(
+          std::upper_bound(ends.begin(), ends.end(), written) - ends.begin());
+      ExpectSameRecords(got, *loaded, complete);
+    }
+    ASSERT_EQ(::close(*fd), 0);
+    ASSERT_TRUE(reader.Finish(got).ok());
+    ExpectSameRecords(got, *loaded, loaded->size());
+  }
+  // A file that never existed is kNotFound at Finish, as for Load.
+  TraceReader absent(dir.path() + "/absent.log");
+  std::vector<StampedEvent> none;
+  EXPECT_EQ(absent.Finish(none).code(), StatusCode::kNotFound);
+}
+
+TEST(TraceReaderTest, TornTailOfADeadIncarnationIsDiscarded) {
+  testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  std::vector<std::size_t> ends;
+  const std::string bytes = WriteMixedTrace(dir.path(), 0, &ends);
+  ASSERT_FALSE(bytes.empty());
+  auto loaded = EventLog::Load(dir.path(), 0, 0);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const std::string path = dir.path() + "/torn.log";
+  // Torn inside record 5's header, inside its payload, and a final
+  // record whose CRC fails (a whole-size write whose bytes did not all
+  // land): a live reader holds each, Finish drops it.
+  std::string bad_crc = bytes.substr(0, ends[4]);
+  bad_crc[ends[4] - 1] ^= 0x5a;
+  for (const std::string& file :
+       {bytes.substr(0, ends[3] + 3), bytes.substr(0, ends[4] - 2), bad_crc}) {
+    auto fd = storage::OpenForAppend(path, /*truncate=*/true);
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    ASSERT_TRUE(storage::WriteAll(*fd, file.data(), file.size(), path).ok());
+    ASSERT_EQ(::close(*fd), 0);
+    TraceReader reader(path);
+    std::vector<StampedEvent> got;
+    auto n = reader.Poll(got);
+    ASSERT_TRUE(n.ok()) << n.status();
+    ExpectSameRecords(got, *loaded, 4);
+    ASSERT_TRUE(reader.Finish(got).ok());
+    ExpectSameRecords(got, *loaded, 4);
+  }
+}
+
+TEST(TraceReaderTest, MidFileCrcErrorIsDataLoss) {
+  testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  std::vector<std::size_t> ends;
+  const std::string bytes = WriteMixedTrace(dir.path(), 2, &ends);
+  ASSERT_FALSE(bytes.empty());
+  const std::string path = dir.path() + "/" + EventLog::FileName(2, 0);
+  std::string corrupt = bytes;
+  corrupt[ends[4] - 1] ^= 0x5a;  // record 5 of 40
+  // A live reader holds the bad record while it ends the file, and
+  // refuses it once more bytes follow it.
+  auto fd = storage::OpenForAppend(path, /*truncate=*/true);
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  ASSERT_TRUE(storage::WriteAll(*fd, corrupt.data(), ends[4], path).ok());
+  TraceReader reader(path);
+  std::vector<StampedEvent> got;
+  auto held = reader.Poll(got);
+  ASSERT_TRUE(held.ok()) << held.status();
+  EXPECT_EQ(got.size(), 4u);
+  ASSERT_TRUE(storage::WriteAll(*fd, corrupt.data() + ends[4],
+                                corrupt.size() - ends[4], path)
+                  .ok());
+  ASSERT_EQ(::close(*fd), 0);
+  EXPECT_EQ(reader.Poll(got).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(EventLog::Load(dir.path(), 2, 0).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(TransportTest, MailboxBackendDeliversFifoPerDestination) {

@@ -1,12 +1,15 @@
-// Unit tests for the per-worker WAL: record round-trips, the group
-// commit barrier, the durable horizon under concurrent appenders,
-// checkpoint reset, and the snapshot read/write protocol.
+// Unit tests for the per-worker WAL: the record checksum, record
+// round-trips, the group commit barrier, the durable horizon under
+// concurrent appenders, checkpoint reset, and the snapshot read/write
+// protocol.
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "storage/crc32.h"
 #include "storage/log_reader.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -19,6 +22,36 @@ txn::TraceEvent PerformEvent(std::uint64_t id, lock::TxnId owner,
                              ObjectId x, Value written, Value seen) {
   return {txn::TraceEvent::Kind::kPerform, id, owner, x,
           action::Update::Write(written), seen};
+}
+
+/// The byte-at-a-time definition the sliced Crc32 must agree with.
+std::uint32_t BytewiseCrc32(const unsigned char* p, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesTheBytewiseDefinition) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);  // the IEEE check value
+  EXPECT_EQ(Crc32("", 0), 0u);
+  Rng rng(42);
+  std::vector<unsigned char> bytes(300);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  // Every length and start offset around the 8-byte step, chained too.
+  for (std::size_t start = 0; start < 9; ++start) {
+    for (std::size_t len = 0; start + len <= bytes.size(); len += 1 + len / 8) {
+      const unsigned char* p = bytes.data() + start;
+      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len, 0))
+          << "start " << start << " len " << len;
+      const std::uint32_t half = Crc32(p, len / 2);
+      EXPECT_EQ(Crc32(p + len / 2, len - len / 2, half), Crc32(p, len))
+          << "start " << start << " len " << len;
+    }
+  }
 }
 
 TEST(WalTest, RoundTripsRecordsThroughReader) {

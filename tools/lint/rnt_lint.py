@@ -49,13 +49,16 @@ where the compiler cannot:
                        rnt::Mutex member must use GUARDED_BY / REQUIRES /
                        ACQUIRE somewhere: an unannotated mutex is opted
                        out of the analysis silently.
-  unchecked-io         write / pwrite / fsync / fdatasync with the result
-                       discarded, in the durable layer (src/storage). An
-                       ignored short write or failed sync silently
-                       downgrades "durable" to "probably durable": the
-                       WAL reports commit while the bytes may be gone.
-                       Consume the result (assign, test, return) or
-                       suppress per line where loss is provably benign.
+  unchecked-io         read / pread / write / pwrite / fsync / fdatasync
+                       with the result discarded, in the durable layer
+                       (src/storage). An ignored short write or failed
+                       sync silently downgrades "durable" to "probably
+                       durable": the WAL reports commit while the bytes
+                       may be gone. An ignored read result turns a
+                       failed or short read into a log that seems to end
+                       early, which recovery then trusts. Consume the
+                       result (assign, test, return) or suppress per
+                       line where loss is provably benign.
   status-must-use      a `(void)` cast applied to a call, anywhere under
                        src/. `(void)Foo(...)` is the one loophole through
                        [[nodiscard]] on Status/StatusOr — it compiles
@@ -77,7 +80,8 @@ Fixtures (tools/lint/fixtures/) declare the path they should be linted
 as via a first-line `// lint-as: <relpath>` directive, so rule scoping
 can be exercised from outside src/. `--selftest` runs every fixture and
 checks that each bad_<rule>.cc trips exactly its rule and clean.cc trips
-nothing.
+nothing; a bad fixture line marked `// lint-expect: <rule>` must itself
+trip that rule, so each shape a rule claims to catch is covered.
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 """
@@ -110,6 +114,7 @@ RAW_MUTEX_EXEMPT = {"src/common/mutex.h"}
 
 SUPPRESS_RE = re.compile(r"rnt-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 LINT_AS_RE = re.compile(r"^//\s*lint-as:\s*(\S+)")
+LINT_EXPECT_RE = re.compile(r"//\s*lint-expect:\s*([a-z-]+)")
 
 
 class Violation(NamedTuple):
@@ -230,7 +235,7 @@ WALL_CLOCK_WAIT_RE = re.compile(
 # token (`WriteAll` never matches: capital W), and re-matching the bare
 # name inside an already-matched `::write`.
 UNCHECKED_IO_RE = re.compile(
-    r"(?<![\w.:>])(::\s*)?(write|pwrite|fsync|fdatasync)\s*\(")
+    r"(?<![\w.:>])(::\s*)?(read|pread|write|pwrite|fsync|fdatasync)\s*\(")
 # What an immediately-preceding context must end with for the call's
 # result to count as consumed: an assignment, a return, an enclosing
 # call/condition, a comparison, or a logical operator.
@@ -327,9 +332,9 @@ def check_unchecked_io(code: str, prev_code: str = "") -> str | None:
         return None
     call = m.group(2)
     return (f"`{call}` with the result discarded in the durable layer; an "
-            "ignored short write or failed sync silently drops durability — "
-            "consume the result (assign/test/return a Status) or suppress "
-            "per line where loss is provably benign")
+            "ignored short read/write or failed sync silently drops "
+            "durability — consume the result (assign/test/return a Status) "
+            "or suppress per line where loss is provably benign")
 
 
 def check_status_must_use(code: str, prev_code: str = "") -> str | None:
@@ -501,12 +506,24 @@ def run_selftest(root: pathlib.Path) -> int:
         name = case.stem
         if name.startswith("bad_"):
             expected = name[len("bad_"):].replace("_", "-")
-            if expected in rules_hit:
+            hits = {(v.line, v.rule) for v in got}
+            missed = [
+                (number, m.group(1))
+                for number, raw in enumerate(
+                    case.read_text(encoding="utf-8").split("\n"), start=1)
+                if (m := LINT_EXPECT_RE.search(raw))
+                and (number, m.group(1)) not in hits]
+            if expected in rules_hit and not missed:
                 print(f"PASS {case.name}: tripped [{expected}]")
-            else:
+            elif expected not in rules_hit:
                 failures += 1
                 print(f"FAIL {case.name}: expected [{expected}], got "
                       f"{sorted(rules_hit) or 'nothing'}", file=sys.stderr)
+            else:
+                failures += 1
+                for number, rule in missed:
+                    print(f"FAIL {case.name}:{number}: marked line did not "
+                          f"trip [{rule}]", file=sys.stderr)
         else:  # clean fixtures must be accepted
             if got:
                 failures += 1
