@@ -10,11 +10,17 @@
 // plotted directly:
 //   {"bench":"faults","nodes":3,"seeds":5,"trajectory":[{...},...]}
 //
-// With --sweep_json the document additionally carries a
-// "concurrent_trajectory": the same rate sweep executed on the
-// multi-threaded runner (ChaosOptions::concurrent_buffer), whose crash
-// triggers and partition windows run on the logical clock. That is the
-// committed artifact bench/e10_faults.json (see EXPERIMENTS.md E10).
+// The "trajectory" runs on the single-thread host (ChaosRunProgram),
+// whose avg_rounds counts host sweeps. With --sweep_json the document
+// additionally carries a "concurrent_trajectory": the same rate sweep
+// executed on the multi-threaded runner (RunParallel, judged by
+// ReplayAbstract). Both hosts read the plan's crash triggers and
+// partition windows on the same logical clock. That is the committed
+// artifact bench/e10_faults.json (see EXPERIMENTS.md E10).
+//
+// The sweep is also a gate: the binary exits 1 when a run fails, when a
+// planned crash is not recovered, or when a complete run with no
+// timeout-abort ends with other object values than RunProgram's.
 //
 // The document's final section, "rebirth_replay", measures the bounded-
 // rebirth claim (§9.1 compaction): the time to replay a node's durable
@@ -30,12 +36,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/random.h"
 #include "dist/summary.h"
 #include "faults/faults.h"
 #include "sim/chaos_driver.h"
+#include "sim/parallel_runner.h"
 #include "storage/retention_log.h"
 
 namespace {
@@ -71,8 +80,6 @@ rnt::faults::FaultPlan PlanAtRate(double rate, std::uint64_t seed) {
   plan.delay_prob = rate / 2;
   plan.max_delay_rounds = 3;
   if (rate > 0) {
-    // Round fields double as logical-clock stamps on the concurrent
-    // runner (CrashSpec::TriggerStamp falls back to `round`).
     plan.crashes.push_back(rnt::faults::CrashSpec{0, 15, 5});
     plan.crashes.push_back(rnt::faults::CrashSpec{1, 40, 5});
     plan.partitions.push_back(rnt::faults::PartitionSpec{0, 2, 20, 35});
@@ -95,8 +102,40 @@ struct RatePoint {
   std::uint64_t recovered = 0;
 };
 
+/// One run's evidence, from either runtime.
+struct Outcome {
+  rnt::sim::DriverStats stats;
+  rnt::dist::DistState final_state;
+  rnt::valuemap::ValState abstract;
+  bool complete = true;
+};
+
+rnt::StatusOr<Outcome> RunOnce(const rnt::dist::DistAlgebra& alg,
+                               const rnt::faults::FaultPlan& plan,
+                               bool concurrent) {
+  rnt::sim::ChaosOptions opt;
+  opt.plan = plan;
+  if (!concurrent) {
+    auto run = rnt::sim::ChaosRunProgram(alg, opt);
+    if (!run.ok()) return run.status();
+    return Outcome{run->stats, std::move(run->final_state),
+                   std::move(run->abstract), run->complete};
+  }
+  rnt::sim::ParallelOptions popt;
+  popt.plan = plan;
+  popt.max_attempts_per_step = opt.max_attempts_per_step;
+  auto run = rnt::sim::RunParallel(alg, popt);
+  if (!run.ok()) return run.status();
+  auto abstract = rnt::sim::ReplayAbstract(
+      alg, std::span<const rnt::dist::DistEvent>(run->events));
+  if (!abstract.ok()) return abstract.status();
+  return Outcome{run->stats, std::move(run->final_state),
+                 std::move(*abstract), run->complete};
+}
+
 /// Runs the sweep at one rate on either runtime and prints the point.
-/// Returns false on a failed run (error already reported on stderr).
+/// Returns false on a failed run, an unrecovered planned crash, or a
+/// value mismatch against RunProgram (reported on stderr).
 bool SweepRate(double rate, bool concurrent, bool first_rate) {
   RatePoint pt;
   pt.rate = rate;
@@ -110,14 +149,38 @@ bool SweepRate(double rate, bool concurrent, bool first_rate) {
     BuildProgram(reg, /*seed=*/100 + s);
     rnt::dist::Topology topo = rnt::dist::Topology::RoundRobin(&reg, kNodes);
     rnt::dist::DistAlgebra alg(&topo);
-    rnt::sim::ChaosOptions opt;
-    opt.plan = PlanAtRate(rate, /*seed=*/1000 * s + 7);
-    opt.concurrent_buffer = concurrent;
-    auto run = rnt::sim::ChaosRunProgram(alg, opt);
+    const rnt::faults::FaultPlan plan = PlanAtRate(rate, 1000 * s + 7);
+    auto run = RunOnce(alg, plan, concurrent);
     if (!run.ok()) {
       std::fprintf(stderr, "run failed: %s\n",
                    run.status().ToString().c_str());
       return false;
+    }
+    if (run->stats.recovered_nodes < plan.crashes.size()) {
+      std::fprintf(stderr,
+                   "rate %.2f seed %d: %zu crashes planned, %llu recovered\n",
+                   rate, s, plan.crashes.size(),
+                   static_cast<unsigned long long>(run->stats.recovered_nodes));
+      return false;
+    }
+    if (run->complete && run->stats.timeout_aborts == 0) {
+      auto oracle = rnt::sim::RunProgram(alg);
+      if (!oracle.ok()) {
+        std::fprintf(stderr, "oracle failed: %s\n",
+                     oracle.status().ToString().c_str());
+        return false;
+      }
+      for (ObjectId x = 0; x < kObjects; ++x) {
+        const NodeId h = topo.HomeOfObject(x);
+        if (run->final_state.nodes[h].vmap.Get(x, rnt::kRootAction) !=
+            oracle->final_state.nodes[h].vmap.Get(x, rnt::kRootAction)) {
+          std::fprintf(stderr,
+                       "rate %.2f seed %d: object %u differs from "
+                       "RunProgram\n",
+                       rate, s, static_cast<unsigned>(x));
+          return false;
+        }
+      }
     }
     total_commits += run->stats.commits;
     total_msgs += run->stats.messages;
@@ -300,7 +363,7 @@ int main(int argc, char** argv) {
   if (sweep_json) {
     // The same schedule on the multi-threaded runtime: crashes kill and
     // rebirth real threads, partitions sever links in the transport,
-    // and avg_rounds is 0 by construction (free-running loops).
+    // and avg_rounds is the busiest node's loop passes.
     std::printf(",\"concurrent_trajectory\":[");
     first_rate = true;
     for (double rate : kRates) {

@@ -120,7 +120,7 @@ rnt::faults::FaultPlan PlanAtRate(double rate, std::uint64_t seed) {
       rnt::faults::CrashSpec crash;
       crash.node = static_cast<NodeId>(c % 3);
       crash.at_stamp = 15 + 10 * c;
-      crash.down_for_stamps = 4;
+      crash.down_for = 4;
       plan.crashes.push_back(crash);
     }
     rnt::faults::PartitionSpec part;

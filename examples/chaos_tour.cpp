@@ -1,12 +1,13 @@
-// Chaos tour: the same distributed-ledger program executed twice on the
-// distributed algebra ℬ — once on a perfect network, once under a
+// Chaos tour: the same distributed-ledger program executed three times on
+// the distributed algebra ℬ — once on a perfect network, once under a
 // deterministic fault plan that drops 30% of messages, duplicates and
 // delays others, crashes two nodes mid-run (wiping their volatile
-// summaries), and partitions a link for twenty rounds.
+// summaries), and partitions a link for twenty stamps of the logical
+// clock — then once more under the same storm with one thread per node.
 //
 // The point of the tour: the *outcome* is identical. Crashed nodes
 // recover by replaying their buffer M_i ("all information ever sent
-// toward i", §9.1), dropped knowledge is re-requested under backoff, and
+// toward i", §9.1), dropped knowledge is re-sent by anti-entropy, and
 // the final tree is serializable and orphan-consistent either way — the
 // faults only show up in the cost counters.
 //
@@ -14,10 +15,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
 #include "aat/aat.h"
 #include "orphan/orphan.h"
 #include "sim/chaos_driver.h"
+#include "sim/parallel_runner.h"
 
 using rnt::ActionId;
 using rnt::NodeId;
@@ -42,8 +45,9 @@ void BuildProgram(rnt::action::ActionRegistry& reg) {
   }
 }
 
-void PrintRun(const char* label, const rnt::sim::ChaosRun& run) {
-  const auto& s = run.stats;
+void PrintRun(const char* label, const rnt::sim::DriverStats& s,
+              const rnt::dist::DistState& final_state,
+              const rnt::action::ActionTree& abstract, bool complete) {
   std::printf(
       "  [%s] rounds=%d messages=%llu performs=%llu commits=%llu\n"
       "           dropped=%llu duplicated=%llu delayed=%llu retries=%llu\n"
@@ -58,18 +62,22 @@ void PrintRun(const char* label, const rnt::sim::ChaosRun& run) {
       static_cast<unsigned long long>(s.crashes),
       static_cast<unsigned long long>(s.recovered_nodes),
       static_cast<unsigned long long>(s.timeout_aborts));
-  bool serial = rnt::aat::IsPermDataSerializable(run.abstract.tree);
-  bool orphan_ok =
-      rnt::orphan::CheckOrphanViewConsistency(run.abstract.tree).ok();
+  bool serial = rnt::aat::IsPermDataSerializable(abstract);
+  bool orphan_ok = rnt::orphan::CheckOrphanViewConsistency(abstract).ok();
   std::printf("           complete=%s serializable=%s orphan-consistent=%s\n",
-              run.complete ? "yes" : "NO", serial ? "yes" : "NO",
+              complete ? "yes" : "NO", serial ? "yes" : "NO",
               orphan_ok ? "yes" : "NO");
   for (ObjectId x = 0; x < kObjects; ++x) {
     NodeId home = x % kNodes;  // RoundRobin placement, as below
-    rnt::Value v = run.final_state.nodes[home].vmap.Get(x, rnt::kRootAction);
+    rnt::Value v = final_state.nodes[home].vmap.Get(x, rnt::kRootAction);
     std::printf("           object %u @ node %u = %lld\n", x, home,
                 static_cast<long long>(v));
   }
+}
+
+void PrintRun(const char* label, const rnt::sim::ChaosRun& run) {
+  PrintRun(label, run.stats, run.final_state, run.abstract.tree,
+           run.complete);
 }
 
 }  // namespace
@@ -109,11 +117,11 @@ int main(int argc, char** argv) {
   stormy.plan.delay_prob = 0.25;
   stormy.plan.max_delay_rounds = 3;
   stormy.plan.crashes.push_back(
-      rnt::faults::CrashSpec{0, /*round=*/8, /*down_for=*/4});
+      rnt::faults::CrashSpec{0, /*at_stamp=*/8, /*down_for=*/4});
   stormy.plan.crashes.push_back(
-      rnt::faults::CrashSpec{1, /*round=*/20, /*down_for=*/5});
+      rnt::faults::CrashSpec{1, /*at_stamp=*/20, /*down_for=*/5});
   stormy.plan.partitions.push_back(
-      rnt::faults::PartitionSpec{0, 1, /*from_round=*/5, /*until_round=*/25});
+      rnt::faults::PartitionSpec{0, 1, /*from_stamp=*/5, /*until_stamp=*/25});
   auto storm = rnt::sim::ChaosRunProgram(alg, stormy);
   if (!storm.ok()) {
     std::printf("storm failed: %s\n", storm.status().ToString().c_str());
@@ -125,20 +133,28 @@ int main(int argc, char** argv) {
   // Leg 3: the same storm on the *multi-threaded* runtime. Nodes are now
   // real threads; the crash kills node 0's thread mid-loop (its volatile
   // summary wiped, the durable retention buffer M_0 intact) and the
-  // supervisor rebirths it with one legal Receive. Crash triggers and the
-  // partition window run on the logical stamp clock — the round numbers
-  // above are reinterpreted in stamp units. The run is judged post-hoc:
-  // the merged log replays through the Theorem 9 checker like any other.
-  rnt::sim::ChaosOptions parallel_storm = stormy;
-  parallel_storm.concurrent_buffer = true;
-  auto pstorm = rnt::sim::ChaosRunProgram(alg, parallel_storm);
+  // supervisor rebirths it with one legal Receive. The plan means the
+  // same stamps here as in leg 2. The run is judged post-hoc: the merged
+  // log replays through the level-4 algebra like any other.
+  rnt::sim::ParallelOptions parallel_storm;
+  parallel_storm.plan = stormy.plan;
+  parallel_storm.max_attempts_per_step = stormy.max_attempts_per_step;
+  auto pstorm = rnt::sim::RunParallel(alg, parallel_storm);
   if (!pstorm.ok()) {
     std::printf("parallel storm failed: %s\n",
                 pstorm.status().ToString().c_str());
     return 1;
   }
+  auto pabstract = rnt::sim::ReplayAbstract(
+      alg, std::span<const rnt::dist::DistEvent>(pstorm->events));
+  if (!pabstract.ok()) {
+    std::printf("parallel storm replay failed: %s\n",
+                pabstract.status().ToString().c_str());
+    return 1;
+  }
   std::printf("leg 3 — the same storm, one thread per node:\n");
-  PrintRun("storm∥", *pstorm);
+  PrintRun("storm∥", pstorm->stats, pstorm->final_state, pabstract->tree,
+           pstorm->complete);
   rnt::txn::FaultStats fstats = rnt::sim::ToFaultStats(pstorm->stats);
   std::printf("           fault record: %s\n", fstats.ToString().c_str());
   std::printf("           stall diagnosis: %s\n",

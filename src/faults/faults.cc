@@ -11,31 +11,18 @@ std::string FaultPlan::ToString() const {
      << ", dup=" << dup_prob << ", delay=" << delay_prob << "(max "
      << max_delay_rounds << ")";
   for (const CrashSpec& c : crashes) {
-    if (c.at_stamp >= 0) {
-      os << ", crash(n" << c.node << "@s" << c.at_stamp << " for "
-         << (c.down_for_stamps >= 0 ? c.down_for_stamps
-                                    : static_cast<std::int64_t>(c.down_for))
-         << " stamps)";
-    } else {
-      os << ", crash(n" << c.node << "@r" << c.round << " for " << c.down_for
-         << ")";
-    }
+    os << ", crash(n" << c.node << "@s" << c.at_stamp << " for "
+       << c.down_for << " stamps)";
   }
   for (const PartitionSpec& p : partitions) {
-    if (p.from_stamp >= 0) {
-      os << ", partition(n" << p.a << "|n" << p.b << " s[" << p.from_stamp
-         << "," << p.until_stamp << "))";
-    } else {
-      os << ", partition(n" << p.a << "|n" << p.b << " r[" << p.from_round
-         << "," << p.until_round << "))";
-    }
+    os << ", partition(n" << p.a << "|n" << p.b << " s[" << p.from_stamp
+       << "," << p.until_stamp << "))";
   }
   os << "}";
   return os.str();
 }
 
-FaultInjector::Verdict FaultInjector::OnMessage(NodeId from, NodeId to,
-                                                int round) {
+FaultInjector::Verdict FaultInjector::OnMessage() {
   // Fixed draw count per call: fate decisions at different probabilities
   // consume the PRNG identically.
   const double drop_u = rng_.NextDouble();
@@ -46,11 +33,6 @@ FaultInjector::Verdict FaultInjector::OnMessage(NodeId from, NodeId to,
   const int dup_len = 1 + static_cast<int>(rng_.Below(span));
 
   Verdict v;
-  if (Partitioned(from, to, round)) {
-    v.drop = true;
-    v.partitioned = true;
-    return v;
-  }
   if (drop_u < plan_.drop_prob) {
     v.drop = true;
     return v;
@@ -66,18 +48,9 @@ std::vector<CrashSpec> CrashesOf(const FaultPlan& plan, NodeId node) {
     if (c.node == node) out.push_back(c);
   }
   std::sort(out.begin(), out.end(), [](const CrashSpec& a, const CrashSpec& b) {
-    return a.TriggerStamp() < b.TriggerStamp();
+    return a.at_stamp < b.at_stamp;
   });
   return out;
-}
-
-bool FaultInjector::Partitioned(NodeId a, NodeId b, int round) const {
-  if (round < 0) return false;  // free-running caller: stamp check applies
-  for (const PartitionSpec& p : plan_.partitions) {
-    bool pair = (p.a == a && p.b == b) || (p.a == b && p.b == a);
-    if (pair && round >= p.from_round && round < p.until_round) return true;
-  }
-  return false;
 }
 
 Status ValidatePlan(const FaultPlan& plan, NodeId num_nodes) {
@@ -93,29 +66,19 @@ Status ValidatePlan(const FaultPlan& plan, NodeId num_nodes) {
     if (c.node >= num_nodes) {
       return Status::InvalidArgument("crash names a node outside [k]");
     }
-    if (c.round < 0 || c.down_for < 1) {
+    if (c.at_stamp < 0 || c.down_for < 1) {
       return Status::InvalidArgument(
-          "crash round must be >= 0 and down_for >= 1");
-    }
-    if (c.at_stamp < -1 || c.down_for_stamps < -1 || c.down_for_stamps == 0) {
-      return Status::InvalidArgument(
-          "crash stamp triggers must be -1 (unset) or at_stamp >= 0, "
-          "down_for_stamps >= 1");
+          "crash at_stamp must be >= 0 and down_for >= 1");
     }
   }
-  // Overlapping crash intervals on one node are ambiguous (which rebirth
-  // wins?) — reject them in whichever clock domain each pair shares.
+  // Overlapping crash windows on one node are ambiguous (which rebirth
+  // wins?).
   for (std::size_t i = 0; i < plan.crashes.size(); ++i) {
     for (std::size_t j = i + 1; j < plan.crashes.size(); ++j) {
       const CrashSpec& c = plan.crashes[i];
       const CrashSpec& d = plan.crashes[j];
-      if (c.node != d.node) continue;
-      bool round_overlap = c.round < d.round + d.down_for &&
-                           d.round < c.round + c.down_for;
-      bool stamp_overlap = c.TriggerStamp() < d.RebirthStamp() &&
-                           d.TriggerStamp() < c.RebirthStamp();
-      bool same_domain = (c.at_stamp >= 0) == (d.at_stamp >= 0);
-      if (same_domain && (c.at_stamp >= 0 ? stamp_overlap : round_overlap)) {
+      if (c.node == d.node && c.at_stamp < d.at_stamp + d.down_for &&
+          d.at_stamp < c.at_stamp + c.down_for) {
         return Status::InvalidArgument(
             "overlapping crash intervals for one node");
       }
@@ -129,15 +92,10 @@ Status ValidatePlan(const FaultPlan& plan, NodeId num_nodes) {
       return Status::InvalidArgument(
           "partition of a node from itself (a == b)");
     }
-    if (p.from_round > p.until_round) {
-      return Status::InvalidArgument("partition interval is inverted");
-    }
-    if (p.from_stamp < -1 || p.until_stamp < -1 ||
-        (p.from_stamp >= 0) != (p.until_stamp >= 0) ||
-        (p.from_stamp >= 0 && p.from_stamp > p.until_stamp)) {
+    if (p.from_stamp < 0 || p.from_stamp > p.until_stamp) {
       return Status::InvalidArgument(
-          "partition stamp window must be unset (-1, -1) or an ordered "
-          "pair of non-negative stamps");
+          "partition window must be an ordered pair of non-negative "
+          "stamps");
     }
   }
   return Status::Ok();

@@ -1,7 +1,6 @@
 #ifndef RNT_FAULTS_FAULTS_H_
 #define RNT_FAULTS_FAULTS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,41 +12,20 @@
 namespace rnt::faults {
 
 /// Crash node `node`, wiping its volatile state (the action summary i.T).
-/// The node is later reborn; a fault-aware driver recovers it by replaying
+/// The node is later reborn; a fault-aware host recovers it by replaying
 /// the monotone message buffer M_i — the paper's recovery story, made
 /// executable (ℬ's buffer is "all information ever sent toward node i",
 /// so a rebirth that receives M_i is just another legal Receive event).
 ///
-/// Two trigger clocks, one per runtime:
-///  * Round-based (`round`/`down_for`): the sequential chaos driver
-///    crashes at the start of scheduler round `round` and rebirths
-///    `down_for` rounds later.
-///  * Logical-clock (`at_stamp`/`down_for_stamps`): the free-running
-///    multi-threaded runner has no rounds; its clock is the global event
-///    stamp counter (one tick per recorded ℬ event, plus watchdog
-///    heartbeats). When `at_stamp >= 0` the node crashes once the global
-///    stamp reaches it and is reborn `down_for_stamps` (default: the
-///    round fields, reinterpreted in stamp units) ticks later. When
-///    `at_stamp < 0` the runner falls back to `round`/`down_for` read as
-///    stamps, so round-era plans keep working unchanged.
+/// The trigger runs on the one logical clock every ℬ host keeps: the
+/// event stamp counter (one tick per recorded ℬ event, plus one per
+/// watchdog retry; the process hub observes the nodes' Lamport stamps).
+/// The node crashes once the clock reaches `at_stamp` and is reborn
+/// once it reaches `at_stamp + down_for`.
 struct CrashSpec {
   NodeId node = 0;
-  int round = 0;
-  int down_for = 4;
-  std::int64_t at_stamp = -1;          // < 0: derive from `round`
-  std::int64_t down_for_stamps = -1;   // < 0: derive from `down_for`
-
-  /// The logical-clock trigger used by the free-running runner.
-  std::int64_t TriggerStamp() const {
-    return at_stamp >= 0 ? at_stamp : static_cast<std::int64_t>(round);
-  }
-  /// First stamp at which the node may be reborn.
-  std::int64_t RebirthStamp() const {
-    std::int64_t span = down_for_stamps >= 0
-                            ? down_for_stamps
-                            : static_cast<std::int64_t>(down_for);
-    return TriggerStamp() + std::max<std::int64_t>(1, span);
-  }
+  std::int64_t at_stamp = 0;
+  std::int64_t down_for = 4;
 };
 
 /// Kill the whole *process* — SIGKILL, no destructors, no flush — after
@@ -68,27 +46,13 @@ struct ProcessCrashSpec {
 };
 
 /// Sever the link between nodes `a` and `b`: transmissions in either
-/// direction are dropped by the network during the interval. Like
-/// CrashSpec, the window is expressed either in scheduler rounds
-/// ([from_round, until_round), sequential chaos driver) or on the
-/// free-running runner's logical clock ([from_stamp, until_stamp); when
-/// from_stamp < 0 the round fields are reinterpreted in stamp units).
+/// direction are dropped by the network while the logical clock (see
+/// CrashSpec) lies in [from_stamp, until_stamp).
 struct PartitionSpec {
   NodeId a = 0;
   NodeId b = 0;
-  int from_round = 0;
-  int until_round = 0;
-  std::int64_t from_stamp = -1;   // < 0: derive both bounds from rounds
-  std::int64_t until_stamp = -1;
-
-  std::int64_t FromStamp() const {
-    return from_stamp >= 0 ? from_stamp
-                           : static_cast<std::int64_t>(from_round);
-  }
-  std::int64_t UntilStamp() const {
-    return from_stamp >= 0 ? until_stamp
-                           : static_cast<std::int64_t>(until_round);
-  }
+  std::int64_t from_stamp = 0;
+  std::int64_t until_stamp = 0;
 };
 
 /// A seeded, fully deterministic description of the faults to inject into
@@ -106,17 +70,26 @@ struct FaultPlan {
   double drop_prob = 0.0;
   /// Probability a delivered transmission is delivered a second time.
   double dup_prob = 0.0;
-  /// Probability a delivered transmission is delayed by 1..max_delay_rounds
-  /// rounds (delays of distinct messages reorder them).
+  /// Probability a delivered transmission is held for 1..max_delay_rounds
+  /// of the receiver's delivery passes (delays of distinct messages
+  /// reorder them).
   double delay_prob = 0.0;
   int max_delay_rounds = 3;
   std::vector<CrashSpec> crashes;
   std::vector<PartitionSpec> partitions;
 
+  /// Whether a run under this plan can lose knowledge in flight or in a
+  /// crash, so the nodes need the watchdog's anti-entropy retries.
+  bool LosesKnowledge() const {
+    return drop_prob > 0 || !crashes.empty() || !partitions.empty();
+  }
+
   std::string ToString() const;
 };
 
 /// Deterministic per-message fault decisions drawn from the plan's seed.
+/// Partitions are not judged here: they depend on the link and the
+/// logical clock, which LinkInterposer sees.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan)
@@ -125,25 +98,17 @@ class FaultInjector {
   /// The fate of one transmission.
   struct Verdict {
     bool drop = false;
-    /// True when the drop was forced by an active partition (counted
-    /// separately from random loss by callers that care).
-    bool partitioned = false;
-    /// Rounds before the receive fires (0 = next delivery pass).
+    /// Delivery passes to hold the message for (0 = next pass).
     int delay = 0;
-    /// When >= 0, a duplicate delivery fires after this many rounds.
+    /// When >= 0, a duplicate delivery fires after this many passes.
     int duplicate_delay = -1;
   };
 
-  /// Decides the fate of a transmission from `from` to `to` at `round`.
-  /// Consumes a fixed number of PRNG draws per call regardless of the
-  /// probabilities, so sweeps over fault rates with one seed see the same
-  /// underlying random sequence.
-  /// Pass a negative `round` to disable the round-window partition check
-  /// (the free-running runtimes judge stamp-windowed partitions in their
-  /// LinkInterposer instead, since their loop passes are not rounds).
-  Verdict OnMessage(NodeId from, NodeId to, int round);
-
-  bool Partitioned(NodeId a, NodeId b, int round) const;
+  /// Decides the fate of the next transmission. Consumes a fixed number
+  /// of PRNG draws per call regardless of the probabilities, so sweeps
+  /// over fault rates with one seed see the same underlying random
+  /// sequence.
+  Verdict OnMessage();
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -152,14 +117,14 @@ class FaultInjector {
   Rng rng_;
 };
 
-/// `plan`'s crashes of `node`, by ascending trigger stamp — the order a
-/// free-running runtime fires them in.
+/// `plan`'s crashes of `node`, by ascending `at_stamp` — the order a
+/// host fires them in.
 std::vector<CrashSpec> CrashesOf(const FaultPlan& plan, NodeId node);
 
 /// Validates a plan: probabilities in [0, 1], nodes within [k],
-/// non-negative intervals, no self-partitions (a == b), no overlapping
-/// crash intervals for the same node (in either clock domain), and
-/// stamp-trigger fields that are each either unset (-1) or well-formed.
+/// non-negative stamps, down_for >= 1, ordered partition windows, no
+/// self-partitions (a == b), and no overlapping crash windows
+/// [at_stamp, at_stamp + down_for) for the same node.
 Status ValidatePlan(const FaultPlan& plan, NodeId num_nodes);
 
 }  // namespace rnt::faults

@@ -8,8 +8,7 @@ LinkInterposer::Verdict LinkInterposer::OnFrame(NodeId from, NodeId to,
   // Fixed-draw random faults first (drop/dup/delay), so the PRNG stream
   // is independent of the partition schedule — rate sweeps on one seed
   // see the same underlying sequence, exactly like the in-process path.
-  const FaultInjector::Verdict base = injector_.OnMessage(from, to,
-                                                          /*round=*/-1);
+  const FaultInjector::Verdict base = injector_.OnMessage();
   v.drop = base.drop;
   v.delay = base.delay;
   v.duplicate_delay = base.duplicate_delay;
@@ -19,7 +18,7 @@ LinkInterposer::Verdict LinkInterposer::OnFrame(NodeId from, NodeId to,
     const bool covers = (spec.a == from && spec.b == to) ||
                         (spec.a == to && spec.b == from);
     if (!covers) continue;
-    if (stamp < spec.FromStamp() || stamp >= spec.UntilStamp()) continue;
+    if (stamp < spec.from_stamp || stamp >= spec.until_stamp) continue;
     v.drop = true;
     v.partitioned = true;
     if (!reset_fired_[p]) {

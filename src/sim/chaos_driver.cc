@@ -1,14 +1,14 @@
 #include "sim/chaos_driver.h"
 
-#include <algorithm>
-#include <map>
-#include <span>
-#include <string>
+#include <atomic>
+#include <memory>
+#include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
-#include "sim/parallel_runner.h"
-#include "txn/online_checker.h"
+#include "sim/message_buffer.h"
+#include "sim/node_core.h"
 
 namespace rnt::sim {
 
@@ -18,528 +18,171 @@ using dist::ActionSummary;
 using dist::DistAlgebra;
 using dist::DistEvent;
 
-/// Round-based fault-aware scheduler. The execution plan is the same
-/// depth-first traversal as RunProgram's, but run as an explicit frame
-/// stack so that a step can *stall* — return control to the scheduler,
-/// wait out a backoff interval while the network delivers (or loses)
-/// messages and nodes crash and recover, and then retry. Every event it
-/// applies is a legal ℬ event; faults only shape which legal events get
-/// offered and when.
-class ChaosDriver {
+/// Sweeps before a run that has not settled is cut short as incomplete.
+constexpr int kMaxSweeps = 200000;
+
+/// Single-thread host of one NodeCore per node: steps the cores
+/// round-robin over a MailboxTransport, keeps the level-4 shadow, and
+/// crashes and rebirths nodes on the logical clock.
+class ChaosHost {
  public:
-  ChaosDriver(const DistAlgebra& alg, const ChaosOptions& options)
+  ChaosHost(const DistAlgebra& alg, const ChaosOptions& options)
       : alg_(alg),
-        topo_(alg.topology()),
-        reg_(alg.registry()),
         options_(options),
-        injector_(options.plan),
         state_(alg.Initial()),
         val_alg_(&alg.registry()),
-        val_state_(val_alg_.Initial()) {}
+        val_state_(val_alg_.Initial()),
+        mailbox_(alg.topology().k()),
+        transport_(&mailbox_, alg.topology().k(), options.plan, &clock_),
+        nodes_(alg.topology().k()) {}
 
   StatusOr<ChaosRun> Run() {
-    RNT_RETURN_IF_ERROR(faults::ValidatePlan(options_.plan, topo_.k()));
-    for (ActionId a : options_.abort_set) {
-      if (!reg_.Valid(a) || reg_.IsAccess(a) || a == kRootAction) {
-        return Status::InvalidArgument(
-            "abort_set must contain registered non-access actions");
-      }
+    RNT_RETURN_IF_ERROR(ValidateHostInputs(alg_, options_.abort_set,
+                                           options_.propagation,
+                                           options_.plan));
+    const NodeCore::Options core_options{
+        .propagation = options_.propagation,
+        .anti_entropy = options_.plan.LosesKnowledge(),
+        .max_attempts_per_step = options_.max_attempts_per_step};
+    for (NodeId i = 0; i < nodes_.size(); ++i) {
+      Node& n = nodes_[i];
+      n.host = this;
+      n.id = i;
+      n.crashes = faults::CrashesOf(options_.plan, i);
+      n.core = std::make_unique<NodeCore>(alg_, i, &state_, &n, &n.stats,
+                                          core_options);
+      n.core->Plan(options_.abort_set);
     }
-    while (mode_ != Mode::kDone) {
-      if (round_ >= options_.max_rounds) {
-        complete_ = false;
-        break;
+    int sweeps = 0;
+    bool settled = false;
+    while (!settled && sweeps < kMaxSweeps) {
+      ++sweeps;
+      const std::size_t recorded = events_.size();
+      bool changed = false;  // a node crashed or was reborn
+      settled = true;
+      for (Node& n : nodes_) {
+        changed |= Step(n);
+        RNT_RETURN_IF_ERROR(n.core->status());
+        settled =
+            settled && (n.Down() || n.core->Done() || n.core->gave_up());
       }
-      StartRound();
-      if (round_ >= next_attempt_round_) {
-        RNT_RETURN_IF_ERROR(StepOnce());
-      }
-      if (options_.check_invariants) {
+      if (options_.check_invariants &&
+          (changed || events_.size() > recorded)) {
         RNT_RETURN_IF_ERROR(CheckInvariants());
       }
-      ++round_;
     }
-    stats_.rounds = round_;
-    StallDiagnosis stalls;
-    if (!complete_) stalls = DiagnoseStalls(alg_, state_);
-    return ChaosRun{stats_,           std::move(state_),
-                    std::move(val_state_), std::move(events_),
-                    complete_,       std::move(stalls)};
+    return Assemble(sweeps);
   }
 
  private:
-  enum class Mode { kExec, kDrain, kDone };
+  struct Node final : NodeCore::Host {
+    ChaosHost* host = nullptr;
+    NodeId id = 0;
+    std::unique_ptr<NodeCore> core;
+    std::vector<faults::CrashSpec> crashes;  // by at_stamp
+    std::size_t next_crash = 0;
+    /// While down: the clock reading at which the node is reborn.
+    std::int64_t reborn_at = -1;
+    DriverStats stats;
 
-  struct Frame {
-    ActionId a = kInvalidAction;
-    enum class Stage { kCreate, kStaticAbort, kChildren, kCommit, kPerform };
-    Stage stage = Stage::kCreate;
-    std::size_t next_child = 0;
-    bool created = false;
+    bool Down() const { return reborn_at >= 0; }
+
+    Status Record(DistEvent e, std::uint64_t /*msg_clock*/) override {
+      return host->Record(std::move(e));
+    }
+    Status Retain(const ActionSummary& payload) override {
+      host->mailbox_.Retain(id, payload);
+      return Status::Ok();
+    }
+    Status Persist() override { return Status::Ok(); }
+    std::uint64_t Clock() const override { return 0; }
   };
 
-  struct Delivery {
-    NodeId to = 0;
-    ActionSummary summary;
-  };
-
-  struct DrainTask {
-    NodeId node = 0;
-    ObjectId object = 0;
-  };
-
-  bool Down(NodeId i) const {
-    auto it = down_until_.find(i);
-    return it != down_until_.end() && it->second > round_;
+  std::int64_t Now() const {
+    return static_cast<std::int64_t>(clock_.load(std::memory_order_relaxed));
   }
 
-  /// Crash wipes, rebirths, and due message deliveries for this round.
-  void StartRound() {
-    // Rebirths first: a node due back up replays its durable buffer M_i —
-    // "all information ever sent toward i", which the WAL discipline
-    // keeps a superset of everything the node ever knew.
-    for (const auto& [node, until] : down_until_) {
-      if (until != round_) continue;
-      DistEvent recv{dist::Receive{node, state_.buffer[node]}};
-      if (!state_.buffer[node].empty() && alg_.Defined(state_, recv)) {
-        alg_.Apply(state_, recv);
-        events_.push_back(std::move(recv));
-      }
-      ++stats_.recovered_nodes;
+  /// One node's turn: rebirth once its down time is over, crash once its
+  /// next trigger is reached (skipping the pass), else one Pass. True iff
+  /// the node crashed or was reborn.
+  bool Step(Node& n) {
+    bool changed = false;
+    if (n.Down()) {
+      if (Now() < n.reborn_at) return false;
+      n.reborn_at = -1;
+      n.core->Rebirth(mailbox_.Retained(n.id));
+      changed = true;
     }
-    // Crashes scheduled for this round wipe volatile summaries; the value
-    // map (the durable lock table for objects homed here) survives.
-    for (const faults::CrashSpec& c : options_.plan.crashes) {
-      if (c.round != round_) continue;
-      state_.nodes[c.node].summary = ActionSummary{};
-      ++stats_.crashes;
-      int until = round_ + std::max(1, c.down_for);
-      int& slot = down_until_[c.node];
-      slot = std::max(slot, until);
+    if (n.next_crash < n.crashes.size() &&
+        Now() >= n.crashes[n.next_crash].at_stamp) {
+      const faults::CrashSpec& spec = n.crashes[n.next_crash++];
+      // The value map (the durable lock table for objects homed here)
+      // and M_i survive; the volatile summary does not.
+      state_.nodes[n.id].summary = ActionSummary{};
+      n.reborn_at = spec.at_stamp + spec.down_for;
+      ++n.stats.crashes;
+      return true;
     }
-    // Deliveries due this round; a down destination postpones its mail to
-    // the rebirth round (the network keeps trying, it does not lose the
-    // message to the crash — M_j already holds it anyway).
-    std::vector<Delivery> due;
-    auto end = pending_.upper_bound(round_);
-    for (auto it = pending_.begin(); it != end; ++it) {
-      due.push_back(std::move(it->second));
+    if (n.core->Pass(transport_).retried) {
+      clock_.fetch_add(1, std::memory_order_relaxed);
     }
-    pending_.erase(pending_.begin(), end);
-    for (Delivery& d : due) {
-      if (Down(d.to)) {
-        pending_.emplace(down_until_[d.to], std::move(d));
-        continue;
-      }
-      DistEvent recv{dist::Receive{d.to, std::move(d.summary)}};
-      if (alg_.Defined(state_, recv)) {
-        alg_.Apply(state_, recv);
-        events_.push_back(std::move(recv));
-      }
-    }
+    return changed;
   }
 
-  Status CheckInvariants() {
+  /// Stamps one event on the logical clock and applies its level-4 image
+  /// to the shadow (the refinement obligation — a violation under fire is
+  /// a bug worth an error, not a retry).
+  Status Record(DistEvent e) {
+    clock_.fetch_add(1, std::memory_order_relaxed);
+    if (std::optional<algebra::LockEvent> image = dist::DistToValueEvent(e)) {
+      if (!val_alg_.Defined(val_state_, *image)) {
+        return Status::Internal(
+            "chaos run: refinement violated, no level-4 image for " +
+            dist::ToString(e));
+      }
+      val_alg_.Apply(val_state_, *image);
+    }
+    events_.push_back(std::move(e));
+    return Status::Ok();
+  }
+
+  Status CheckInvariants() const {
     std::set<NodeId> down;
-    for (const auto& [node, until] : down_until_) {
-      if (until > round_) down.insert(node);
+    for (const Node& n : nodes_) {
+      if (n.Down()) down.insert(n.id);
     }
     return dist::CheckLocalConsistency(alg_, state_, val_state_, &down);
   }
 
-  /// Applies one node event: checks it is defined at level 5 *and* that
-  /// its image is defined at level 4 (the refinement obligation — a
-  /// violation under fire is a bug worth an error, not a retry), applies
-  /// both, logs it, and WAL-logs summary changes via a self-send so the
-  /// buffer M_i stays a superset of node i's volatile knowledge.
-  Status ApplyNodeEvent(const DistEvent& e) {
-    if (!alg_.Defined(state_, e)) {
-      return Status::Internal("chaos driver: event unexpectedly undefined: " +
-                              dist::ToString(e));
+  ChaosRun Assemble(int sweeps) {
+    DriverStats stats;
+    stats.rounds = sweeps;
+    bool complete = true;
+    for (Node& n : nodes_) {
+      const MailboxTransport::LinkStats link = transport_.stats(n.id);
+      n.stats.dropped_msgs += link.dropped;
+      n.stats.duplicated_msgs += link.duplicated;
+      stats += n.stats;
+      if (!n.core->Done() || n.core->gave_up()) complete = false;
     }
-    std::optional<algebra::LockEvent> image = dist::DistToValueEvent(e);
-    if (image.has_value() && !val_alg_.Defined(val_state_, *image)) {
-      return Status::Internal(
-          "chaos driver: refinement violated, no level-4 image for " +
-          dist::ToString(e));
-    }
-    alg_.Apply(state_, e);
-    if (image.has_value()) val_alg_.Apply(val_state_, *image);
-    events_.push_back(e);
-    ++stats_.node_events;
-    bool changes_summary =
-        std::holds_alternative<dist::NodeCreate>(e) ||
-        std::holds_alternative<dist::NodeCommit>(e) ||
-        std::holds_alternative<dist::NodeAbort>(e) ||
-        std::holds_alternative<dist::NodePerform>(e);
-    if (changes_summary) {
-      NodeId doer = alg_.Doer(e);
-      DistEvent wal{dist::Send{doer, doer, state_.nodes[doer].summary}};
-      if (alg_.Defined(state_, wal)) {
-        alg_.Apply(state_, wal);
-        events_.push_back(std::move(wal));
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Ships node `from`'s summary toward `to` through the chaotic network.
-  /// The Send (merge into M_to) happens unless the injector drops the
-  /// transmission; the matching Receive is delivered now, later, or twice
-  /// per the verdict.
-  void Transmit(NodeId from, NodeId to) {
-    if (from == to) return;
-    const ActionSummary& summary = state_.nodes[from].summary;
-    if (summary.empty()) return;
-    faults::FaultInjector::Verdict v = injector_.OnMessage(from, to, round_);
-    if (v.drop) {
-      ++stats_.dropped_msgs;
-      return;
-    }
-    DistEvent send{dist::Send{from, to, summary}};
-    alg_.Apply(state_, send);  // always defined: full summary <= own summary
-    events_.push_back(std::move(send));
-    ++stats_.messages;
-    stats_.summary_entries += summary.size();
-    if (v.delay == 0 && !Down(to)) {
-      DistEvent recv{dist::Receive{to, summary}};
-      alg_.Apply(state_, recv);  // defined: just merged into M_to
-      events_.push_back(std::move(recv));
-    } else {
-      ++stats_.delayed_msgs;
-      pending_.emplace(round_ + std::max(1, v.delay), Delivery{to, summary});
-    }
-    if (v.duplicate_delay >= 0) {
-      ++stats_.duplicated_msgs;
-      pending_.emplace(round_ + std::max(1, v.duplicate_delay),
-                       Delivery{to, summary});
-    }
-  }
-
-  /// Finds a live node that can teach `to` about `a` (existence, or its
-  /// final status when `need_done`) and transmits from it. Returns false
-  /// when no live node has the knowledge — the stall must simply wait.
-  bool RequestKnowledge(ActionId a, NodeId to, bool need_done) {
-    auto has = [&](NodeId i) {
-      if (i == to || Down(i)) return false;
-      const ActionSummary& t = state_.nodes[i].summary;
-      return need_done ? t.IsDone(a) : t.Contains(a);
-    };
-    NodeId home = topo_.HomeOfAction(a);
-    NodeId source = topo_.k();
-    if (has(home)) {
-      source = home;
-    } else {
-      for (NodeId i = 0; i < topo_.k(); ++i) {
-        if (has(i)) {
-          source = i;
-          break;
-        }
-      }
-    }
-    if (source >= topo_.k()) return false;
-    Transmit(source, to);
-    return true;
-  }
-
-  void ResetBackoff() {
-    attempts_ = 0;
-    next_attempt_round_ = 0;
-    pending_blocker_ = kInvalidAction;
-  }
-
-  /// Records an unproductive attempt: backs off exponentially, and past
-  /// max_attempts_per_step escalates to timeout handling. `blocker` names
-  /// the lock holder being waited on, when the stall is a lock wait.
-  Status Stalled(ActionId blocker) {
-    pending_blocker_ = blocker;
-    if (attempts_ >= options_.max_attempts_per_step) return HandleTimeout();
-    if (attempts_ > 0) ++stats_.retries;
-    ++attempts_;
-    next_attempt_round_ = round_ + (1 << std::min(attempts_ - 1, 5));  // ≤ 32
-    return Status::Ok();
-  }
-
-  /// Timeout-aborts the deepest abortable ancestor of a *stuck* lock
-  /// holder (one that will never commit because its subtree was abandoned)
-  /// — the dynamic lose-lock path. Skips ancestors of `requester` so a
-  /// blocked step never shoots down its own transaction from here.
-  StatusOr<bool> TryAbortStuckAncestor(ActionId blocker, ActionId requester) {
-    for (ActionId c : reg_.AncestorChain(blocker)) {
-      if (c == kRootAction || reg_.IsAccess(c)) continue;
-      if (requester != kInvalidAction && reg_.IsAncestor(c, requester)) {
-        continue;
-      }
-      NodeId home = topo_.HomeOfAction(c);
-      if (Down(home) || !state_.nodes[home].summary.IsActive(c)) continue;
-      RNT_RETURN_IF_ERROR(ApplyNodeEvent(DistEvent{dist::NodeAbort{home, c}}));
-      aborted_.insert(c);
-      ++stats_.timeout_aborts;
-      return true;
-    }
-    return false;
-  }
-
-  /// A step exhausted its attempts. Remedies, in order: abort the stuck
-  /// lock holder's subtransaction (frees the lock via lose-lock); abort
-  /// the deepest abortable subtransaction on the requester's own path
-  /// (its subtree becomes orphaned); failing both, abandon the subtree —
-  /// graceful degradation, the rest of the program still runs.
-  Status HandleTimeout() {
-    ActionId requester = kInvalidAction;
-    if (mode_ == Mode::kExec && !stack_.empty()) requester = stack_.back().a;
-    if (pending_blocker_ != kInvalidAction) {
-      StatusOr<bool> aborted =
-          TryAbortStuckAncestor(pending_blocker_, requester);
-      RNT_RETURN_IF_ERROR(aborted.status());
-      if (*aborted) {
-        ResetBackoff();
-        return Status::Ok();
-      }
-    }
-    if (mode_ == Mode::kDrain) {
-      complete_ = false;
-      ++drain_idx_;
-      ResetBackoff();
-      return Status::Ok();
-    }
-    for (int idx = static_cast<int>(stack_.size()) - 1; idx >= 0; --idx) {
-      const Frame& f = stack_[static_cast<std::size_t>(idx)];
-      if (!f.created || reg_.IsAccess(f.a) || aborted_.count(f.a)) continue;
-      NodeId home = topo_.HomeOfAction(f.a);
-      if (Down(home) || !state_.nodes[home].summary.IsActive(f.a)) continue;
-      RNT_RETURN_IF_ERROR(
-          ApplyNodeEvent(DistEvent{dist::NodeAbort{home, f.a}}));
-      aborted_.insert(f.a);
-      ++stats_.timeout_aborts;
-      stack_.resize(static_cast<std::size_t>(idx));
-      ResetBackoff();
-      return Status::Ok();
-    }
-    complete_ = false;
-    stack_.clear();
-    ResetBackoff();
-    return Status::Ok();
-  }
-
-  void PushFrame(ActionId a) {
-    stack_.push_back(Frame{a});
-    ResetBackoff();
-  }
-
-  Status StepOnce() {
-    if (mode_ == Mode::kExec) {
-      if (stack_.empty()) {
-        const std::vector<ActionId>& tops = reg_.Children(kRootAction);
-        if (next_top_ < tops.size()) {
-          PushFrame(tops[next_top_++]);
-        } else {
-          mode_ = Mode::kDrain;
-          for (NodeId i = 0; i < topo_.k(); ++i) {
-            for (ObjectId x : state_.nodes[i].vmap.TouchedObjects()) {
-              drain_tasks_.push_back(DrainTask{i, x});
-            }
-          }
-          ResetBackoff();
-          return Status::Ok();
-        }
-      }
-      return StepFrame();
-    }
-    if (drain_idx_ >= drain_tasks_.size()) {
-      mode_ = Mode::kDone;
-      return Status::Ok();
-    }
-    DrainTask task = drain_tasks_[drain_idx_];
-    if (Down(task.node)) return Stalled(kInvalidAction);
-    return LockWalk(task.node, task.object, kInvalidAction,
-                    /*then_perform=*/false);
-  }
-
-  Status StepFrame() {
-    Frame& f = stack_.back();
-    switch (f.stage) {
-      case Frame::Stage::kCreate: {
-        NodeId origin = topo_.Origin(f.a);
-        if (Down(origin)) return Stalled(kInvalidAction);
-        ActionId p = reg_.Parent(f.a);
-        if (p != kRootAction &&
-            !state_.nodes[origin].summary.Contains(p)) {
-          RequestKnowledge(p, origin, /*need_done=*/false);
-          return Stalled(kInvalidAction);
-        }
-        RNT_RETURN_IF_ERROR(
-            ApplyNodeEvent(DistEvent{dist::NodeCreate{origin, f.a}}));
-        created_at_[f.a] = origin;
-        f.created = true;
-        ResetBackoff();
-        if (reg_.IsAccess(f.a)) {
-          f.stage = Frame::Stage::kPerform;
-        } else if (options_.abort_set.count(f.a)) {
-          f.stage = Frame::Stage::kStaticAbort;
-        } else {
-          f.stage = Frame::Stage::kChildren;
-        }
-        return Status::Ok();
-      }
-      case Frame::Stage::kStaticAbort: {
-        NodeId home = topo_.HomeOfAction(f.a);
-        if (Down(home)) return Stalled(kInvalidAction);
-        if (!state_.nodes[home].summary.Contains(f.a)) {
-          RequestKnowledge(f.a, home, /*need_done=*/false);
-          return Stalled(kInvalidAction);
-        }
-        RNT_RETURN_IF_ERROR(
-            ApplyNodeEvent(DistEvent{dist::NodeAbort{home, f.a}}));
-        aborted_.insert(f.a);
-        ++stats_.aborts;
-        ResetBackoff();
-        stack_.pop_back();
-        return Status::Ok();
-      }
-      case Frame::Stage::kChildren: {
-        const std::vector<ActionId>& kids = reg_.Children(f.a);
-        if (f.next_child < kids.size()) {
-          ActionId c = kids[f.next_child++];
-          PushFrame(c);  // invalidates f
-          return Status::Ok();
-        }
-        f.stage = Frame::Stage::kCommit;
-        return Status::Ok();
-      }
-      case Frame::Stage::kCommit: {
-        NodeId home = topo_.HomeOfAction(f.a);
-        if (Down(home)) return Stalled(kInvalidAction);
-        const ActionSummary& t = state_.nodes[home].summary;
-        if (!t.Contains(f.a)) {
-          RequestKnowledge(f.a, home, /*need_done=*/false);
-          return Stalled(kInvalidAction);
-        }
-        // ℬ's (b12) only constrains locally-known children, but the
-        // level-4 commit needs *every* created child done — and the home
-        // knows every child exists (children are created at the parent's
-        // home), so insisting on done statuses here costs no generality.
-        for (ActionId c : reg_.Children(f.a)) {
-          if (!created_at_.count(c)) continue;
-          if (!t.IsDone(c)) {
-            RequestKnowledge(c, home, /*need_done=*/true);
-            return Stalled(kInvalidAction);
-          }
-        }
-        RNT_RETURN_IF_ERROR(
-            ApplyNodeEvent(DistEvent{dist::NodeCommit{home, f.a}}));
-        ++stats_.commits;
-        ResetBackoff();
-        stack_.pop_back();
-        return Status::Ok();
-      }
-      case Frame::Stage::kPerform: {
-        ObjectId x = reg_.Object(f.a);
-        NodeId i = topo_.HomeOfObject(x);
-        if (Down(i)) return Stalled(kInvalidAction);
-        if (!state_.nodes[i].summary.Contains(f.a)) {
-          RequestKnowledge(f.a, i, /*need_done=*/false);
-          return Stalled(kInvalidAction);
-        }
-        return LockWalk(i, x, f.a, /*then_perform=*/true);
-      }
-    }
-    return Status::Internal("chaos driver: unreachable frame stage");
-  }
-
-  /// The aborted ancestor (or self) of an action, per the driver's own
-  /// bookkeeping (static and timeout aborts).
-  ActionId AbortedAncestor(ActionId a) const {
-    for (ActionId c : reg_.AncestorChain(a)) {
-      if (c != kRootAction && aborted_.count(c)) return c;
-    }
-    return kInvalidAction;
-  }
-
-  /// Walks blocking locks on x at node i upward (release) or away (lose)
-  /// as far as local knowledge allows; stalls — requesting the missing
-  /// status — when it runs ahead of what i knows. With the chain clear,
-  /// performs the requester (or, in drain mode, finishes the task).
-  Status LockWalk(NodeId i, ObjectId x, ActionId requester,
-                  bool then_perform) {
-    for (int guard = 0; guard < options_.max_rounds; ++guard) {
-      const auto* entry = state_.nodes[i].vmap.EntriesFor(x);
-      ActionId blocker = kInvalidAction;
-      if (entry != nullptr) {
-        for (const auto& [b, v] : *entry) {
-          if (b != kRootAction &&
-              (requester == kInvalidAction ||
-               !reg_.IsProperAncestor(b, requester))) {
-            blocker = b;
-            break;
-          }
-        }
-      }
-      if (blocker == kInvalidAction) break;
-      ActionId dead = AbortedAncestor(blocker);
-      if (dead != kInvalidAction) {
-        if (!state_.nodes[i].summary.IsAborted(dead)) {
-          RequestKnowledge(dead, i, /*need_done=*/true);
-          return Stalled(blocker);
-        }
-        RNT_RETURN_IF_ERROR(
-            ApplyNodeEvent(DistEvent{dist::NodeLoseLock{i, blocker, x}}));
-        ++stats_.loses;
-        ResetBackoff();
-      } else {
-        if (!state_.nodes[i].summary.IsCommitted(blocker)) {
-          RequestKnowledge(blocker, i, /*need_done=*/true);
-          return Stalled(blocker);
-        }
-        RNT_RETURN_IF_ERROR(
-            ApplyNodeEvent(DistEvent{dist::NodeReleaseLock{i, blocker, x}}));
-        ++stats_.releases;
-        ResetBackoff();
-      }
-    }
-    if (then_perform) {
-      Frame& f = stack_.back();
-      Value u = state_.nodes[i].vmap.PrincipalValue(x, reg_);
-      RNT_RETURN_IF_ERROR(
-          ApplyNodeEvent(DistEvent{dist::NodePerform{i, f.a, u}}));
-      ++stats_.performs;
-      ResetBackoff();
-      stack_.pop_back();
-    } else {
-      ++drain_idx_;
-      ResetBackoff();
-    }
-    return Status::Ok();
+    StallDiagnosis stalls;
+    if (!complete) stalls = DiagnoseStalls(alg_, state_);
+    return ChaosRun{stats,     std::move(state_),  std::move(val_state_),
+                    std::move(events_), complete, std::move(stalls)};
   }
 
   const DistAlgebra& alg_;
-  const dist::Topology& topo_;
-  const action::ActionRegistry& reg_;
   const ChaosOptions& options_;
-  faults::FaultInjector injector_;
   dist::DistState state_;
   valuemap::ValueMapAlgebra val_alg_;
   valuemap::ValState val_state_;
   std::vector<DistEvent> events_;
-
-  Mode mode_ = Mode::kExec;
-  int round_ = 0;
-  std::vector<Frame> stack_;
-  std::size_t next_top_ = 0;
-  std::vector<DrainTask> drain_tasks_;
-  std::size_t drain_idx_ = 0;
-
-  int attempts_ = 0;
-  int next_attempt_round_ = 0;
-  ActionId pending_blocker_ = kInvalidAction;
-
-  std::map<NodeId, int> down_until_;
-  std::multimap<int, Delivery> pending_;  // delivery round -> message
-
-  std::map<ActionId, NodeId> created_at_;
-  std::set<ActionId> aborted_;
-  DriverStats stats_;
-  bool complete_ = true;
+  /// The logical clock: one tick per recorded event and watchdog retry.
+  /// Atomic only because MailboxTransport reads it through a pointer.
+  std::atomic<std::uint64_t> clock_{0};
+  ConcurrentMailbox mailbox_;
+  MailboxTransport transport_;
+  std::vector<Node> nodes_;
 };
 
 }  // namespace
@@ -556,66 +199,10 @@ txn::FaultStats ToFaultStats(const DriverStats& stats) {
   return f;
 }
 
-/// concurrent_buffer mode: delegate to the multi-threaded runner — which
-/// now carries the full fault plan, crashes and partitions included —
-/// then reconstruct the ChaosRun contract (abstract shadow, invariant
-/// check, stall diagnosis) post-hoc from the merged event log. Every
-/// recovered run is judged by the same court as the sequential driver's:
-/// ReplayAbstract must find a level-4 image for the whole log, and the
-/// invariant check (when requested) holds the final state to the local
-/// possibilities mappings.
-static StatusOr<ChaosRun> ChaosRunConcurrent(const DistAlgebra& alg,
-                                             const ChaosOptions& options) {
-  ParallelOptions popts;
-  popts.propagation = options.propagation;
-  popts.abort_set = options.abort_set;
-  popts.plan = options.plan;
-  popts.max_attempts_per_step = options.max_attempts_per_step;
-  // The streaming Theorem 9 checker rides *inside the run*: the runner
-  // streams every recorded event's trace form into `live` from the node
-  // threads as it executes, so a chaos run that produces a
-  // non-serializable perm tree is caught at the first offending event
-  // while the run is still in flight — not after the merged log exists.
-  txn::OnlineChecker live;
-  popts.live_sink = &live;
-  StatusOr<ParallelRun> par = RunParallel(alg, popts);
-  RNT_RETURN_IF_ERROR(par.status());
-  if (const auto verdict = live.Verdict();
-      verdict.outcome != txn::OnlineChecker::Outcome::kOk) {
-    return Status::Internal("chaos run fails live Theorem 9 check: " +
-                            verdict.detail);
-  }
-  // Post-hoc court, unchanged: replay the merged log for the abstract
-  // shadow, feeding a second checker. Its verdict must agree with the
-  // live one (same stamp-order stream) — disagreement means the live
-  // plumbing itself is broken, which is worth its own diagnostic.
-  txn::OnlineChecker online;
-  StatusOr<valuemap::ValState> abstract = ReplayAbstract(
-      alg, std::span<const dist::DistEvent>(par->events), &online);
-  RNT_RETURN_IF_ERROR(abstract.status());
-  if (const auto verdict = online.Verdict();
-      verdict.outcome != txn::OnlineChecker::Outcome::kOk) {
-    return Status::Internal(
-        "chaos run passes the live Theorem 9 check but fails it post-hoc "
-        "(live-sink order bug?): " +
-        verdict.detail);
-  }
-  ChaosRun run{par->stats,           std::move(par->final_state),
-               std::move(*abstract), std::move(par->events),
-               par->complete,        StallDiagnosis{}};
-  if (options.check_invariants) {
-    RNT_RETURN_IF_ERROR(
-        dist::CheckLocalConsistency(alg, run.final_state, run.abstract));
-  }
-  if (!run.complete) run.stalls = DiagnoseStalls(alg, run.final_state);
-  return run;
-}
-
 StatusOr<ChaosRun> ChaosRunProgram(const DistAlgebra& alg,
                                    const ChaosOptions& options) {
-  if (options.concurrent_buffer) return ChaosRunConcurrent(alg, options);
-  ChaosDriver driver(alg, options);
-  return driver.Run();
+  ChaosHost host(alg, options);
+  return host.Run();
 }
 
 }  // namespace rnt::sim

@@ -20,43 +20,30 @@ struct ChaosOptions {
   /// nothing, in which case ChaosRunProgram computes the same final
   /// values as RunProgram.
   faults::FaultPlan plan;
-  /// Static aborts, as in DriverOptions (the chaos driver additionally
-  /// aborts *dynamically* on timeout).
+  /// Static aborts, as in DriverOptions (the nodes additionally abort
+  /// *dynamically* on timeout).
   std::set<ActionId> abort_set;
-  /// Hard bound on scheduler rounds.
-  int max_rounds = 200000;
-  /// Stall handling: a step whose knowledge request goes unanswered
-  /// re-sends with exponential backoff (1 << attempt rounds, capped at
-  /// 32), and after max_attempts_per_step re-requests the nearest
-  /// abortable enclosing subtransaction is timeout-aborted instead of
-  /// spinning.
+  /// Watchdog escalation threshold (NodeCore::Options): unproductive
+  /// anti-entropy retries before a node timeout-aborts the deepest
+  /// abortable enclosing subtransaction homed locally.
   int max_attempts_per_step = 12;
   /// Check the Lemma 23-26 local-consistency obligations against the
-  /// level-4 shadow state after every round (the "invariants under fire"
-  /// mode used by the chaos tests; costs O(state) per round).
+  /// level-4 shadow state after every sweep that recorded an event or
+  /// crashed or rebirthed a node (the "invariants under fire" mode used
+  /// by the chaos tests; costs O(state) per such sweep).
   bool check_invariants = false;
-  /// Run on the multi-threaded ParallelRunner against the concurrent
-  /// (mutex-free) message buffer instead of the round-based sequential
-  /// loop: faults are injected into real cross-thread traffic by the
-  /// in-process transport, including crashes (mid-loop thread death,
-  /// rebirth by durable-buffer replay) and partitions (severed links) —
-  /// crash triggers and partition windows run on the runner's logical
-  /// clock (see faults::CrashSpec). Restricted to kEager/kDelta
-  /// propagation semantics (the runner is reactive); `propagation` below
-  /// selects which, and `max_attempts_per_step` above feeds the per-node
-  /// watchdog. The level-4 shadow and the invariant check then run
-  /// post-hoc over the merged event log rather than per round.
-  bool concurrent_buffer = false;
-  /// Knowledge policy for concurrent_buffer mode (ignored otherwise).
+  /// Knowledge policy: kDelta or kEager. The node loop is reactive, so
+  /// kLazy is rejected (kInvalidArgument), as by RunParallel.
   Propagation propagation = Propagation::kDelta;
 };
 
 /// Result of a chaos run. `events` is the exact sequence of ℬ events the
-/// driver applied — a valid computation of the distributed algebra (the
+/// nodes applied — a valid computation of the distributed algebra (the
 /// crash wipes are *not* events: recovery re-enters legal states via
 /// Receive of the buffer M_i, so the log replays cleanly against the
 /// un-crashed algebra). Two runs with equal options produce bit-identical
-/// ChaosRuns.
+/// ChaosRuns. `stats.rounds` counts host sweeps (one pass of every live
+/// node).
 struct ChaosRun {
   DriverStats stats;
   dist::DistState final_state;
@@ -65,9 +52,10 @@ struct ChaosRun {
   /// consistency are judged.
   valuemap::ValState abstract;
   std::vector<dist::DistEvent> events;
-  /// False when some subtree could not finish *or be aborted* (e.g. its
-  /// only abort point was unreachable for the whole run); `stalls` then
-  /// explains, per action, what each was waiting on.
+  /// False when some node did not discharge its obligations (a node down
+  /// for good, a node that gave up under a permanent partition, or the
+  /// sweep bound); `stalls` then explains, per action, what each was
+  /// waiting on.
   bool complete = true;
   StallDiagnosis stalls;
 };
@@ -75,33 +63,28 @@ struct ChaosRun {
 /// Projects the chaos counters into the trace-level fault record.
 txn::FaultStats ToFaultStats(const DriverStats& stats);
 
-/// Executes the registered program on ℬ under the fault plan: a
-/// fault-aware variant of RunProgram in which every knowledge transfer
-/// travels through a chaotic network (drop / duplicate / delay / reorder
-/// / partition), nodes crash and recover mid-run, and stuck
-/// subtransactions are timeout-aborted.
+/// Executes the registered program on ℬ under the fault plan, on one
+/// thread and bit-reproducibly: the single-thread host of the same
+/// NodeCore loop RunParallel and rnt_node drive. Each sweep steps every
+/// node's core once, in node order, over a MailboxTransport whose
+/// per-sender seeded LinkInterposer drops, duplicates, delays and
+/// partitions transmissions.
 ///
-/// Robustness mechanics, all deterministic from the plan's seed:
-///  * WAL discipline: every node event is followed by a self-send, so the
-///    buffer M_i is a superset of node i's volatile knowledge ("all
-///    information ever sent toward i" — paper §9.1).
-///  * Crash: at the planned round the node's summary is wiped; its value
-///    map (the durable lock table for objects homed there) survives.
-///  * Recovery: at rebirth the driver issues Receive(i, M_i) — buffer
-///    replay restores exactly the knowledge the WAL captured.
-///  * Stall detection: missing knowledge is re-requested under bounded
-///    exponential backoff (stats.retries counts re-sends).
-///  * Timeout abort: a step stuck past max_attempts_per_step aborts the
-///    deepest abortable subtransaction on the current execution path,
-///    dynamically exercising the abort/lose-lock machinery.
-///  * Graceful degradation: when even timeout-abort is impossible (no
-///    reachable abort point), the subtree is abandoned, the run continues
-///    elsewhere, and the result is a partial ChaosRun with
-///    complete=false and a per-action stall diagnosis.
+/// The host records each event (stamping the logical clock, which also
+/// ticks once per watchdog retry, exactly as in RunParallel, so a plan
+/// means the same thing on every host) and applies its level-4 image to
+/// the `abstract` shadow; an event whose image is undefined there is
+/// kInternal. M_i is the mailbox's retention buffer. A crash fires before the node's pass once
+/// the clock reaches CrashSpec::at_stamp: its summary is wiped and the
+/// node is skipped until the clock reaches at_stamp + down_for, when
+/// NodeCore::Rebirth replays M_i with one legal Receive. There is no
+/// forced rebirth: the run ends when every node that is up is done or
+/// has given up. Recovery, anti-entropy retries and timeout-aborts are
+/// NodeCore's (node_core.h).
 ///
 /// When options.check_invariants is set, CheckLocalConsistency must hold
-/// after every round (crashed nodes' knowledge obligations waived while
-/// down) — a violated invariant returns kInternal.
+/// (crashed nodes' knowledge obligations waived while down) — a violated
+/// invariant returns kInternal.
 StatusOr<ChaosRun> ChaosRunProgram(const dist::DistAlgebra& alg,
                                    const ChaosOptions& options = {});
 

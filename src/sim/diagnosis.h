@@ -10,7 +10,7 @@ namespace rnt::sim {
 
 /// One live action that a stalled run is still waiting on: where its next
 /// event must run and what stands in the way. Produced when a driver
-/// gives up (max_rounds exhausted, or a chaos run degrades under a
+/// gives up (RunProgram cannot progress, or a node loop degrades under a
 /// partition) so the failure mode is inspectable instead of a bare
 /// status code.
 struct StalledAction {
@@ -38,8 +38,8 @@ struct StallDiagnosis {
 /// anywhere) and reports what each is waiting on: accesses name the lock
 /// holder blocking them at their object's home; inner actions name their
 /// first unfinished child, or report themselves ready to commit. Used by
-/// sim::RunProgram to annotate max_rounds exhaustion and by the chaos
-/// driver for partial-run diagnoses.
+/// sim::RunProgram to annotate a stuck schedule and by every NodeCore
+/// host for partial-run diagnoses.
 StallDiagnosis DiagnoseStalls(const dist::DistAlgebra& alg,
                               const dist::DistState& s);
 

@@ -12,6 +12,9 @@ using dist::DistAlgebra;
 using dist::DistEvent;
 using dist::DistState;
 
+/// Safety bound on the lock-walk steps of one unblock.
+constexpr int kMaxLockWalk = 100000;
+
 /// Scheduler for one RunProgram execution.
 ///
 /// The schedule is a depth-first traversal of the universal action tree:
@@ -172,7 +175,7 @@ class Driver {
   /// requester `a` could acquire; every holder's relevant ancestors are
   /// already committed by the DFS discipline, so this terminates.
   Status UnblockLocks(NodeId i, ObjectId x, ActionId a) {
-    for (int guard = 0; guard < options_.max_rounds; ++guard) {
+    for (int guard = 0; guard < kMaxLockWalk; ++guard) {
       const auto* entry = state_.nodes[i].vmap.EntriesFor(x);
       if (entry == nullptr) return Status::Ok();
       ActionId blocker = kInvalidAction;
@@ -240,6 +243,21 @@ class Driver {
 };
 
 }  // namespace
+
+DriverStats& DriverStats::operator+=(const DriverStats& other) {
+  for (auto field :
+       {&DriverStats::node_events, &DriverStats::messages,
+        &DriverStats::summary_entries, &DriverStats::performs,
+        &DriverStats::commits, &DriverStats::aborts, &DriverStats::releases,
+        &DriverStats::loses, &DriverStats::obligations_examined,
+        &DriverStats::retries, &DriverStats::crashes,
+        &DriverStats::dropped_msgs, &DriverStats::duplicated_msgs,
+        &DriverStats::delayed_msgs, &DriverStats::recovered_nodes,
+        &DriverStats::timeout_aborts}) {
+    this->*field += other.*field;
+  }
+  return *this;
+}
 
 StatusOr<DriverRun> RunProgram(const DistAlgebra& alg,
                                const DriverOptions& options) {

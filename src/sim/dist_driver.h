@@ -31,8 +31,6 @@ struct DriverOptions {
   /// Actions to abort (instead of commit) once created; their
   /// descendants are never created. Exercises the lose-lock path.
   std::set<ActionId> abort_set;
-  /// Safety bound on scheduler rounds.
-  int max_rounds = 100000;
 };
 
 struct DriverStats {
@@ -51,8 +49,8 @@ struct DriverStats {
   /// pending obligations; zero for the sequential drivers.
   std::uint64_t obligations_examined = 0;
 
-  // Fault-handling counters, filled by the chaos driver (always zero for
-  // the failure-free RunProgram). Mirrored into txn::FaultStats via
+  // Fault-handling counters, filled by the fault-aware hosts (always zero
+  // for the failure-free RunProgram). Mirrored into txn::FaultStats via
   // ToFaultStats so faulty runs surface through the trace tooling.
   std::uint64_t retries = 0;          // knowledge re-requests after backoff
   std::uint64_t crashes = 0;          // nodes crashed (summary wiped)
@@ -61,6 +59,10 @@ struct DriverStats {
   std::uint64_t delayed_msgs = 0;     // deliveries pushed past send round
   std::uint64_t recovered_nodes = 0;  // rebirths via buffer M_i replay
   std::uint64_t timeout_aborts = 0;   // stuck subtransactions aborted
+
+  /// Adds every counter of `other` except `rounds`, whose meaning is the
+  /// host's own.
+  DriverStats& operator+=(const DriverStats& other);
 
   friend bool operator==(const DriverStats&, const DriverStats&) = default;
 };
@@ -77,9 +79,9 @@ struct DriverRun {
 /// propagating summaries per `options.propagation` and counting the
 /// messages that the paper's model leaves unconstrained.
 ///
-/// Returns kFailedPrecondition if the program cannot make progress within
-/// max_rounds (which would indicate a driver bug — the algebra itself is
-/// deadlock-free for this tree-structured schedule). The status message
+/// Returns kFailedPrecondition if the program cannot make progress (which
+/// would indicate a driver bug — the algebra itself is deadlock-free for
+/// this tree-structured schedule). The status message
 /// carries a StallDiagnosis rendering (sim/diagnosis.h): which actions
 /// are still live and which object/home each is waiting on.
 StatusOr<DriverRun> RunProgram(const dist::DistAlgebra& alg,

@@ -467,8 +467,8 @@ bool NodeCore::TryCommits() {
     if (!t.IsActive(a)) continue;
     // Stronger than ℬ's (b12): every live child must be *created* (all
     // of a's children are created on this very node, so this is a local
-    // check) and *done* in local knowledge — the same strengthening the
-    // chaos driver documents, needed for the level-4 image.
+    // check) and *done* in local knowledge — the strengthening the
+    // level-4 image needs (its commit wants every created child done).
     bool ready = true;
     for (ActionId c : reg_.Children(a)) {
       if (!dead_.empty() && dead_[c]) continue;
@@ -637,6 +637,24 @@ bool NodeCore::AbortAncestorHomedHere(ActionId blocker, ActionId requester) {
     return true;
   }
   return false;
+}
+
+Status ValidateHostInputs(const dist::DistAlgebra& alg,
+                          const std::set<ActionId>& abort_set,
+                          Propagation propagation,
+                          const faults::FaultPlan& plan) {
+  const action::ActionRegistry& reg = alg.registry();
+  for (ActionId a : abort_set) {
+    if (!reg.Valid(a) || reg.IsAccess(a) || a == kRootAction) {
+      return Status::InvalidArgument(
+          "abort_set must contain registered non-access actions");
+    }
+  }
+  if (propagation == Propagation::kLazy) {
+    return Status::InvalidArgument(
+        "the node loop is reactive: use kDelta or kEager propagation");
+  }
+  return faults::ValidatePlan(plan, alg.topology().k());
 }
 
 }  // namespace rnt::sim

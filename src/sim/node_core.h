@@ -10,6 +10,7 @@
 #include "dist/delta_log.h"
 #include "dist/dist_algebra.h"
 #include "common/status.h"
+#include "faults/faults.h"
 #include "sim/dist_driver.h"
 #include "sim/transport.h"
 
@@ -173,7 +174,7 @@ class NodeCore {
   void Flush(Transport& net);
   void Broadcast(Transport& net, bool unseen_only);
   void Watchdog(Transport& net);
-  /// The watchdog's escalation (the chaos driver's timeout-abort): abort
+  /// The watchdog's escalation (the timeout-abort): abort
   /// the deepest abortable enclosing subtransaction homed here — first
   /// among a stuck lock holder's ancestors (freeing the lock via the
   /// lose-lock path), then on the node's own pending commit path (DFS
@@ -268,6 +269,15 @@ class NodeCore {
   std::uint64_t version_ = 0;
   std::vector<std::uint64_t> shipped_version_;
 };
+
+/// The inputs an in-process host of the loop rejects with
+/// kInvalidArgument: an abort_set member that is not a registered
+/// non-access action, kLazy propagation (the loop is reactive: nodes
+/// learn, they are not asked), and a plan ValidatePlan rejects.
+Status ValidateHostInputs(const dist::DistAlgebra& alg,
+                          const std::set<ActionId>& abort_set,
+                          Propagation propagation,
+                          const faults::FaultPlan& plan);
 
 }  // namespace rnt::sim
 

@@ -58,7 +58,6 @@ class ParallelRunner {
   ParallelRunner(const DistAlgebra& alg, const ParallelOptions& options)
       : alg_(alg),
         topo_(alg.topology()),
-        reg_(alg.registry()),
         options_(options),
         state_(alg.Initial()),
         mailbox_(topo_.k()),
@@ -69,7 +68,9 @@ class ParallelRunner {
         live_lowering_(&alg.registry()) {}
 
   StatusOr<ParallelRun> Run() {
-    RNT_RETURN_IF_ERROR(Validate());
+    RNT_RETURN_IF_ERROR(ValidateHostInputs(alg_, options_.abort_set,
+                                           options_.propagation,
+                                           options_.plan));
     if (!options_.durable_dir.empty()) {
       // Durable M_i write-through: one append-only log per node. Opened
       // before any thread exists; appends happen on the owner thread
@@ -129,30 +130,12 @@ class ParallelRunner {
     std::uint64_t Clock() const override { return 0; }
   };
 
-  Status Validate() const {
-    for (ActionId a : options_.abort_set) {
-      if (!reg_.Valid(a) || reg_.IsAccess(a) || a == kRootAction) {
-        return Status::InvalidArgument(
-            "abort_set must contain registered non-access actions");
-      }
-    }
-    if (options_.propagation == Propagation::kLazy) {
-      return Status::InvalidArgument(
-          "parallel runner is reactive: use kDelta or kEager propagation");
-    }
-    RNT_RETURN_IF_ERROR(faults::ValidatePlan(options_.plan, topo_.k()));
-    return Status::Ok();
-  }
-
   /// Builds each node's core (obligations planned by one DFS of the
   /// universal tree) and its crash schedule.
   void Plan() {
     const NodeCore::Options core_options{
         .propagation = options_.propagation,
-        // Only a plan that can lose knowledge needs anti-entropy.
-        .anti_entropy = options_.plan.drop_prob > 0 ||
-                        !options_.plan.crashes.empty() ||
-                        !options_.plan.partitions.empty(),
+        .anti_entropy = options_.plan.LosesKnowledge(),
         .max_attempts_per_step = options_.max_attempts_per_step,
         .max_idle_spins = options_.max_idle_spins};
     for (NodeId i = 0; i < topo_.k(); ++i) {
@@ -255,7 +238,7 @@ class ParallelRunner {
     while (!failed_.load(std::memory_order_acquire)) {
       if (w.next_crash < w.crash_specs.size() &&
           static_cast<std::int64_t>(seq_.load(std::memory_order_acquire)) >=
-              w.crash_specs[w.next_crash].TriggerStamp()) {
+              w.crash_specs[w.next_crash].at_stamp) {
         Crash(w);
         return;  // mid-loop thread termination; supervisor rebirths us
       }
@@ -279,7 +262,7 @@ class ParallelRunner {
     const faults::CrashSpec& spec = w.crash_specs[w.next_crash];
     ++w.next_crash;
     state_.nodes[w.id].summary = ActionSummary{};
-    w.rebirth_stamp = spec.RebirthStamp();
+    w.rebirth_stamp = spec.at_stamp + spec.down_for;
     ++w.stats.crashes;
     w.exit_state.store(kCrashed, std::memory_order_release);
   }
@@ -358,17 +341,7 @@ class ParallelRunner {
       const MailboxTransport::LinkStats link = transport_.stats(w.id);
       w.stats.dropped_msgs += link.dropped;
       w.stats.duplicated_msgs += link.duplicated;
-      for (auto field :
-           {&DriverStats::node_events, &DriverStats::messages,
-            &DriverStats::summary_entries, &DriverStats::performs,
-            &DriverStats::commits, &DriverStats::aborts,
-            &DriverStats::releases, &DriverStats::loses,
-            &DriverStats::retries, &DriverStats::crashes,
-            &DriverStats::recovered_nodes, &DriverStats::timeout_aborts,
-            &DriverStats::obligations_examined, &DriverStats::dropped_msgs,
-            &DriverStats::duplicated_msgs, &DriverStats::delayed_msgs}) {
-        run.stats.*field += w.stats.*field;
-      }
+      run.stats += w.stats;
       run.stats.rounds = std::max(run.stats.rounds,
                                   static_cast<int>(std::min<std::uint64_t>(
                                       w.core->passes(), 0x7fffffff)));
@@ -387,12 +360,12 @@ class ParallelRunner {
       run.events.reserve(merged.size());
       for (auto& [stamp, e] : merged) run.events.push_back(std::move(e));
     }
+    if (!run.complete) run.stalls = DiagnoseStalls(alg_, run.final_state);
     return run;
   }
 
   const DistAlgebra& alg_;
   const dist::Topology& topo_;
-  const action::ActionRegistry& reg_;
   const ParallelOptions& options_;
   DistState state_;
   /// The logical clock: one tick per recorded event and watchdog retry.

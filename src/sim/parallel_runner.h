@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "dist/dist_algebra.h"
 #include "faults/faults.h"
+#include "sim/diagnosis.h"
 #include "sim/dist_driver.h"
 #include "txn/trace.h"
 #include "valuemap/value_map_algebra.h"
@@ -29,10 +30,9 @@ struct ParallelOptions {
   std::set<ActionId> abort_set;
   /// The full fault schedule: message faults (drop/duplicate/delay —
   /// delays of distinct messages reorder them), crashes, and partitions.
-  /// The free-running loops have no rounds, so crash triggers and
-  /// partition windows run on the *logical clock* — the global event
-  /// stamp counter (CrashSpec::at_stamp / PartitionSpec::from_stamp;
-  /// round fields are reinterpreted in stamp units when unset). A crash
+  /// Crash triggers and partition windows run on the *logical clock* —
+  /// the global event stamp counter (CrashSpec::at_stamp /
+  /// PartitionSpec::from_stamp), the clock of every ℬ host. A crash
   /// terminates the node's thread mid-loop after wiping its volatile
   /// ActionSummary; the supervisor rebirths a fresh thread that replays
   /// the mailbox's durable retention buffer M_i (one legal Receive) and
@@ -95,8 +95,10 @@ struct ParallelRun {
   /// payload is a sub-summary of the sender's monotone knowledge, so a
   /// Send stays legal at any later point in the interleaving.
   std::vector<dist::DistEvent> events;
-  /// False when some node abandoned obligations after max_idle_spins.
+  /// False when some node abandoned obligations after max_idle_spins;
+  /// `stalls` then names what each live action was waiting on.
   bool complete = true;
+  StallDiagnosis stalls;
 };
 
 /// Executes the entire registered program on ℬ with one thread per node:

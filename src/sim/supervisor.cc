@@ -18,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "sim/diagnosis.h"
 #include "sim/event_log.h"
 #include "sim/phases.h"
 #include "sim/process_chaos.h"
@@ -445,7 +446,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       Child& ch = children[i];
       if (!ch.alive || ch.next_spec >= ch.specs.size()) continue;
       const faults::CrashSpec& spec = ch.specs[ch.next_spec];
-      if (static_cast<std::int64_t>(observed) < spec.TriggerStamp() &&
+      if (static_cast<std::int64_t>(observed) < spec.at_stamp &&
           !quiesced) {
         continue;
       }
@@ -466,7 +467,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       }
       ch.alive = false;
       ch.awaiting_rebirth = true;
-      ch.rebirth_stamp = spec.RebirthStamp();
+      ch.rebirth_stamp = spec.at_stamp + spec.down_for;
       ++ch.next_spec;
       ++run.kills;
       acted = true;
@@ -589,6 +590,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   // Ground truth: the final state is a mechanical replay of the durable
   // traces, not anything a process claimed over the wire.
   RNT_RETURN_IF_ERROR(stream.Drain());
+  if (!run.complete) run.stalls = DiagnoseStalls(alg, run.final_state);
   return run;
 }
 

@@ -9,6 +9,7 @@
 #include "common/types.h"
 #include "dist/dist_algebra.h"
 #include "faults/faults.h"
+#include "sim/diagnosis.h"
 #include "sim/dist_driver.h"
 #include "sim/phases.h"
 #include "sim/program_spec.h"
@@ -77,8 +78,10 @@ struct MultiProcessRun {
   dist::DistState final_state;
   /// All nodes' durable traces merged by (Lamport stamp, node id).
   std::vector<dist::DistEvent> events;
-  /// False when some node gave up (e.g. under a permanent partition).
+  /// False when some node gave up (e.g. under a permanent partition);
+  /// `stalls` then names what each live action was waiting on.
   bool complete = true;
+  StallDiagnosis stalls;
   /// kill -9s actually delivered.
   int kills = 0;
   SocketHub::HubStats hub;

@@ -8,7 +8,11 @@
 namespace rnt::storage {
 
 StatusOr<WalFileContents> ReadWalFile(const std::string& path) {
-  RNT_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
+  // Read in place rather than moved out of the StatusOr: GCC 12 at -O2
+  // misreads the moved-to string as maybe-uninitialized.
+  const StatusOr<std::string> read = ReadFileBytes(path);
+  if (!read.ok()) return read.status();
+  const std::string& bytes = *read;
   WalFileContents out;
   if (bytes.empty()) {
     // Crash after open/truncate but before the magic write: an empty

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <span>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "algebra/algebra.h"
 #include "faults/faults.h"
 #include "orphan/orphan.h"
+#include "sim/parallel_runner.h"
 #include "testutil.h"
 
 namespace rnt::sim {
@@ -24,10 +26,11 @@ faults::FaultPlan ChaoticPlan(std::uint64_t seed) {
   plan.dup_prob = 0.25;
   plan.delay_prob = 0.25;
   plan.max_delay_rounds = 3;
-  plan.crashes.push_back(faults::CrashSpec{0, /*round=*/8, /*down_for=*/4});
-  plan.crashes.push_back(faults::CrashSpec{1, /*round=*/20, /*down_for=*/5});
+  plan.crashes.push_back(faults::CrashSpec{0, /*at_stamp=*/8, /*down_for=*/4});
+  plan.crashes.push_back(
+      faults::CrashSpec{1, /*at_stamp=*/20, /*down_for=*/5});
   plan.partitions.push_back(
-      faults::PartitionSpec{0, 1, /*from_round=*/5, /*until_round=*/25});
+      faults::PartitionSpec{0, 1, /*from_stamp=*/5, /*until_stamp=*/25});
   return plan;
 }
 
@@ -46,12 +49,9 @@ TEST(FaultInjectorTest, DeterministicFromSeed) {
   faults::FaultInjector a(plan);
   faults::FaultInjector b(plan);
   for (int i = 0; i < 200; ++i) {
-    NodeId from = static_cast<NodeId>(i % 3);
-    NodeId to = static_cast<NodeId>((i + 1) % 3);
-    auto va = a.OnMessage(from, to, i);
-    auto vb = b.OnMessage(from, to, i);
+    auto va = a.OnMessage();
+    auto vb = b.OnMessage();
     EXPECT_EQ(va.drop, vb.drop) << i;
-    EXPECT_EQ(va.partitioned, vb.partitioned) << i;
     EXPECT_EQ(va.delay, vb.delay) << i;
     EXPECT_EQ(va.duplicate_delay, vb.duplicate_delay) << i;
   }
@@ -75,8 +75,8 @@ TEST(FaultInjectorTest, FixedDrawCountAcrossRates) {
   faults::FaultInjector b(quiet);
   int survivors = 0;
   for (int i = 0; i < 200; ++i) {
-    auto va = a.OnMessage(0, 1, i);
-    auto vb = b.OnMessage(0, 1, i);
+    auto va = a.OnMessage();
+    auto vb = b.OnMessage();
     if (!va.drop) {
       ++survivors;
       EXPECT_EQ(va.delay, vb.delay) << "call " << i;
@@ -103,7 +103,7 @@ TEST(FaultInjectorTest, FixedDrawSweepAcrossDropAndDelayRates) {
   std::vector<int> base_delay(kCalls);
   {
     faults::FaultInjector b(base);
-    for (int i = 0; i < kCalls; ++i) base_delay[i] = b.OnMessage(0, 1, i).delay;
+    for (int i = 0; i < kCalls; ++i) base_delay[i] = b.OnMessage().delay;
   }
   const double kDrops[] = {0.0, 0.2, 0.5, 0.8};
   const double kDelays[] = {0.0, 0.3, 1.0};
@@ -116,7 +116,7 @@ TEST(FaultInjectorTest, FixedDrawSweepAcrossDropAndDelayRates) {
       plan.delay_prob = delay;
       faults::FaultInjector inj(plan);
       for (int i = 0; i < kCalls; ++i) {
-        auto v = inj.OnMessage(0, 1, i);
+        auto v = inj.OnMessage();
         if (delay == 1.0) dropped[i] = v.drop ? 1 : 0;
         if (!v.drop && v.delay > 0) {
           EXPECT_EQ(v.delay, base_delay[i])
@@ -148,6 +148,12 @@ TEST(FaultInjectorTest, ValidatePlanRejectsBadInputs) {
   EXPECT_EQ(faults::ValidatePlan(plan, 3).code(),
             StatusCode::kInvalidArgument);
   plan.partitions.clear();
+  // Crash windows [8, 12) and [10, 15) of one node overlap.
+  plan.crashes.push_back(faults::CrashSpec{1, 8, 4});
+  plan.crashes.push_back(faults::CrashSpec{1, 10, 5});
+  EXPECT_EQ(faults::ValidatePlan(plan, 3).code(),
+            StatusCode::kInvalidArgument);
+  plan.crashes.clear();
   EXPECT_TRUE(faults::ValidatePlan(plan, 3).ok());
 }
 
@@ -242,13 +248,15 @@ TEST(ChaosDriverTest, BitReproducibleFromSeed) {
 TEST(ChaosDriverTest, TimeoutAbortsUnreachableSubtransactions) {
   // Object x0 is homed on node 2, which is permanently partitioned from
   // everyone. Both transactions need x0, can never reach it, and must be
-  // timeout-aborted at their own (reachable) homes; the program still
-  // terminates completely, with zero performs.
+  // timeout-aborted at their own (reachable) homes, with zero performs.
+  // Node 2 never learns of the two accesses it homes, so the run ends
+  // incomplete, and the diagnosis names both (as on the threaded runner,
+  // ParallelRecoveryTest.PermanentPartitionDegradesGracefully).
   ActionRegistry reg;
   ActionId t1 = reg.NewAction(kRootAction);
   ActionId t2 = reg.NewAction(kRootAction);
-  reg.NewAccess(t1, 0, Update::Add(1));
-  reg.NewAccess(t2, 0, Update::Add(2));
+  ActionId a1 = reg.NewAccess(t1, 0, Update::Add(1));
+  ActionId a2 = reg.NewAccess(t2, 0, Update::Add(2));
   dist::Topology topo(
       &reg, 3, [](ObjectId) { return 2u; },
       [&](ActionId a) { return a == t1 ? 0u : 1u; });
@@ -260,7 +268,12 @@ TEST(ChaosDriverTest, TimeoutAbortsUnreachableSubtransactions) {
   opt.check_invariants = true;
   auto run = ChaosRunProgram(alg, opt);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_TRUE(run->complete);
+  EXPECT_FALSE(run->complete);
+  std::set<ActionId> stuck;
+  for (const StalledAction& sa : run->stalls.stalled) {
+    if (sa.is_access && sa.home == 2 && sa.object == 0) stuck.insert(sa.action);
+  }
+  EXPECT_EQ(stuck, (std::set<ActionId>{a1, a2})) << run->stalls.ToString();
   EXPECT_EQ(run->stats.timeout_aborts, 2u);
   EXPECT_EQ(run->stats.performs, 0u);
   EXPECT_EQ(run->stats.commits, 0u);
@@ -286,7 +299,7 @@ TEST(ChaosDriverTest, CrashRecoveryPreservesOutcome) {
   ASSERT_TRUE(base.ok()) << base.status();
   ASSERT_TRUE(base->complete);
   ChaosOptions opt;
-  opt.plan.crashes.push_back(faults::CrashSpec{1, /*round=*/6,
+  opt.plan.crashes.push_back(faults::CrashSpec{1, /*at_stamp=*/6,
                                                /*down_for=*/3});
   opt.check_invariants = true;
   auto run = ChaosRunProgram(alg, opt);
@@ -322,10 +335,13 @@ TEST(ChaosDriverTest, PermanentCrashDegradesGracefully) {
       [&](ActionId a) { return reg.IsAncestor(t1, a) ? 2u : 0u; });
   dist::DistAlgebra alg(&topo);
   ChaosOptions opt;
-  // t1 creates at node 2 (round 0) and a1 at node 2 (origin = parent's
-  // home); a1 performs at node 0 after a knowledge transfer; then node 2
-  // dies before t1's commit can run there.
-  opt.plan.crashes.push_back(faults::CrashSpec{2, /*round=*/6,
+  // t1 creates at node 2 and a1 at node 2 (origin = parent's home); a1
+  // performs at node 0 after a knowledge transfer; then node 2 dies
+  // before t1's commit can run there. The stamp comes from the
+  // fault-free run of this program, whose event log records create(t1)
+  // at stamp 14, a1's perform at stamp 22 and commit(t1) at stamp 36:
+  // stamp 25 falls after the perform and before the commit.
+  opt.plan.crashes.push_back(faults::CrashSpec{2, /*at_stamp=*/25,
                                                /*down_for=*/1 << 20});
   opt.max_attempts_per_step = 4;
   auto run = ChaosRunProgram(alg, opt);
@@ -389,119 +405,24 @@ TEST(ChaosDriverTest, SweepManySeedsAlwaysSerializable) {
   }
 }
 
-/// Message-fault plan for the concurrent buffer: drop/duplicate/delay
-/// only (distinct delays reorder deliveries). Crashes and partitions are
-/// exercised separately below — their triggers run on the runner's
-/// logical clock rather than these round-free message faults.
-faults::FaultPlan MessageChaosPlan(std::uint64_t seed) {
-  faults::FaultPlan plan;
-  plan.seed = seed;
-  plan.drop_prob = 0.2;
-  plan.dup_prob = 0.2;
-  plan.delay_prob = 0.3;
-  plan.max_delay_rounds = 3;
-  return plan;
-}
-
-TEST(ConcurrentChaosTest, DeltaModeSurvivesDropDupReorder) {
-  // Drop/duplicate/reorder injected into the *concurrent* (multi-thread)
-  // buffer while delta propagation runs: dropped deltas are recovered by
-  // the anti-entropy full-summary retry, duplicates are absorbed by merge
-  // idempotence, and reordering is absorbed by merge commutativity. Every
-  // run must finish with the sequential driver's final values and pass
-  // the Theorem 9 checker.
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    ActionRegistry reg = MediumRegistry(seed * 13 + 3);
-    dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
-    dist::DistAlgebra alg(&topo);
-    auto clean = RunProgram(alg);
-    ASSERT_TRUE(clean.ok()) << clean.status() << " seed " << seed;
-
-    ChaosOptions opt;
-    opt.concurrent_buffer = true;
-    opt.propagation = Propagation::kDelta;
-    opt.plan = MessageChaosPlan(seed * 7 + 1);
-    opt.check_invariants = true;
-    auto run = ChaosRunProgram(alg, opt);
-    ASSERT_TRUE(run.ok()) << run.status() << " seed " << seed;
-    EXPECT_TRUE(run->complete) << run->stalls.ToString() << " seed " << seed;
-    for (ObjectId x = 0; x < 4; ++x) {
-      NodeId h = topo.HomeOfObject(x);
-      EXPECT_EQ(run->final_state.nodes[h].vmap.Get(x, kRootAction),
-                clean->final_state.nodes[h].vmap.Get(x, kRootAction))
-          << "object " << x << " seed " << seed;
-    }
-    EXPECT_TRUE(algebra::IsValidSequence(
-        alg, std::span<const dist::DistEvent>(run->events)))
-        << "seed " << seed;
-    EXPECT_TRUE(aat::IsPermDataSerializable(run->abstract.tree))
-        << "seed " << seed;
-  }
-}
-
-TEST(ConcurrentChaosTest, EagerModeSurvivesMessageChaosWithAborts) {
-  ActionRegistry reg = MediumRegistry(17);
-  std::set<ActionId> abort_set;
-  for (ActionId a = 1; a < reg.size(); ++a) {
-    if (!reg.IsAccess(a) && reg.Parent(a) != kRootAction) {
-      abort_set.insert(a);
-      break;
-    }
-  }
-  dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
+TEST(ChaosDriverTest, RejectsLazyPropagationFailFast) {
+  // The node loop is reactive (nodes learn, they are not asked), so every
+  // host of it rejects kLazy; the default policy, kDelta, runs.
+  ActionRegistry reg = MediumRegistry(5);
+  dist::Topology topo = dist::Topology::RoundRobin(&reg, 2);
   dist::DistAlgebra alg(&topo);
-  DriverOptions seq_opt;
-  seq_opt.abort_set = abort_set;
-  auto clean = RunProgram(alg, seq_opt);
-  ASSERT_TRUE(clean.ok()) << clean.status();
+  ChaosOptions lazy;
+  lazy.propagation = Propagation::kLazy;
+  auto run = ChaosRunProgram(alg, lazy);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  ParallelOptions par;
+  par.propagation = Propagation::kLazy;
+  EXPECT_EQ(RunParallel(alg, par).status().code(),
+            StatusCode::kInvalidArgument);
 
-  ChaosOptions opt;
-  opt.concurrent_buffer = true;
-  opt.propagation = Propagation::kEager;
-  opt.abort_set = abort_set;
-  opt.plan = MessageChaosPlan(5);
-  auto run = ChaosRunProgram(alg, opt);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_TRUE(run->complete);
-  EXPECT_EQ(run->stats.aborts, abort_set.size());
-  for (ObjectId x = 0; x < 4; ++x) {
-    NodeId h = topo.HomeOfObject(x);
-    EXPECT_EQ(run->final_state.nodes[h].vmap.Get(x, kRootAction),
-              clean->final_state.nodes[h].vmap.Get(x, kRootAction));
-  }
-  EXPECT_TRUE(aat::IsPermDataSerializable(run->abstract.tree));
-}
-
-TEST(ConcurrentChaosTest, AcceptsAndRecoversCrashPlansOnConcurrentBuffer) {
-  // The concurrent runner now takes the *full* plan: the round fields of
-  // ChaoticPlan's crashes/partition are reinterpreted on the logical
-  // clock, both nodes die mid-loop and are rebirthed by durable-buffer
-  // replay, and the run is judged post-hoc — it must end value-equivalent
-  // to the sequential driver, with a valid merged log and a serializable
-  // abstract tree.
-  ActionRegistry reg = MediumRegistry(2);
-  dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
-  dist::DistAlgebra alg(&topo);
-  auto clean = RunProgram(alg);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  ChaosOptions opt;
-  opt.concurrent_buffer = true;
-  opt.plan = ChaoticPlan(1);  // includes crashes and a partition
-  auto run = ChaosRunProgram(alg, opt);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_TRUE(run->complete) << run->stalls.ToString();
-  EXPECT_EQ(run->stats.crashes, 2u);
-  EXPECT_EQ(run->stats.recovered_nodes, 2u);
-  for (ObjectId x = 0; x < 4; ++x) {
-    NodeId h = topo.HomeOfObject(x);
-    EXPECT_EQ(run->final_state.nodes[h].vmap.Get(x, kRootAction),
-              clean->final_state.nodes[h].vmap.Get(x, kRootAction))
-        << "object " << x;
-  }
-  EXPECT_TRUE(algebra::IsValidSequence(
-      alg, std::span<const dist::DistEvent>(run->events)));
-  EXPECT_TRUE(aat::IsPermDataSerializable(run->abstract.tree));
-  EXPECT_TRUE(orphan::CheckOrphanViewConsistency(run->abstract.tree).ok());
+  ChaosOptions delta;
+  ASSERT_TRUE(ChaosRunProgram(alg, delta).ok());
 }
 
 TEST(ChaosDriverTest, ToFaultStatsProjectsCounters) {

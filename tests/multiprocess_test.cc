@@ -198,7 +198,7 @@ TEST(MultiProcessTest, TcpBackendMatchesInProcess) {
       faults::CrashSpec crash;
       crash.node = 1;
       crash.at_stamp = 12;
-      crash.down_for_stamps = 5;
+      crash.down_for = 5;
       opt.plan.crashes.push_back(crash);
     }
     auto run = RunMultiProcess(opt);
@@ -207,7 +207,9 @@ TEST(MultiProcessTest, TcpBackendMatchesInProcess) {
     EXPECT_EQ(run->kills, kill ? 1 : 0);
     // Frames to a node still starting are held; only frames to the
     // killed node while it is down may be lost (the modelled fault).
-    if (!kill) EXPECT_EQ(run->hub.unroutable, 0u);
+    if (!kill) {
+      EXPECT_EQ(run->hub.unroutable, 0u);
+    }
     JudgeRun(spec, *run, *oracle);
     ExpectStreamMatchesMerge(spec, dir.path(), *run);
   }
@@ -233,7 +235,7 @@ TEST(MultiProcessTest, SurvivesCompoundingKillsAndPartitions) {
     faults::CrashSpec crash;
     crash.node = static_cast<NodeId>(c % 3);
     crash.at_stamp = 15 + 10 * c;
-    crash.down_for_stamps = 4;
+    crash.down_for = 4;
     plan.crashes.push_back(crash);
   }
   faults::PartitionSpec p01;
@@ -285,7 +287,7 @@ TEST(MultiProcessTest, DeterministicFaultsAreDeterministic) {
   faults::CrashSpec crash;
   crash.node = 0;
   crash.at_stamp = 10;
-  crash.down_for_stamps = 4;
+  crash.down_for = 4;
   plan.crashes.push_back(crash);
 
   action::ActionRegistry reg = spec.BuildRegistry();
@@ -328,7 +330,7 @@ TEST(MultiProcessTest, ReportsNodeWatchdogCountersUnderDrops) {
   faults::CrashSpec crash;
   crash.node = 2;
   crash.at_stamp = 10;
-  crash.down_for_stamps = 4;
+  crash.down_for = 4;
   plan.crashes.push_back(crash);
 
   testing::TempDir dir;

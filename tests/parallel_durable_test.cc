@@ -3,14 +3,9 @@
 // M_i is written through to an on-disk RetentionLog, so the §9.1
 // recovery summary survives process death — and a rebirth audits the
 // write-through (in-memory M_i must be a sub-summary of the log).
-//
-// Also here: the chaos-driver-level kLazy regression — the concurrent
-// buffer mode must fail fast with kInvalidArgument on the reactive
-// runner's unsupported propagation policy, never hang or crash.
 #include <gtest/gtest.h>
 
 #include "dist/dist_algebra.h"
-#include "sim/chaos_driver.h"
 #include "sim/parallel_runner.h"
 #include "storage/retention_log.h"
 #include "temp_dir.h"
@@ -74,23 +69,6 @@ TEST(ParallelDurableTest, MissingDurableDirFailsFast) {
   ParallelOptions opt;
   opt.durable_dir = "/nonexistent-rnt-durable-dir";
   EXPECT_FALSE(RunParallel(alg, opt).ok());
-}
-
-TEST(ChaosDriverTest, ConcurrentBufferRejectsLazyPropagationFailFast) {
-  ActionRegistry reg = MakeProgram();
-  dist::Topology topo = dist::Topology::RoundRobin(&reg, 2);
-  dist::DistAlgebra alg(&topo);
-  ChaosOptions opt;
-  opt.concurrent_buffer = true;
-  opt.propagation = Propagation::kLazy;
-  auto run = ChaosRunProgram(alg, opt);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-
-  // The sequential driver keeps supporting kLazy (it has the request
-  // channel), so the rejection is specific to the reactive runner.
-  ChaosOptions seq;
-  ASSERT_TRUE(ChaosRunProgram(alg, seq).ok());
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "algebra/algebra.h"
 #include "faults/faults.h"
 #include "orphan/orphan.h"
-#include "sim/chaos_driver.h"
 #include "sim/diagnosis.h"
 #include "sim/parallel_runner.h"
 #include "sim/program_spec.h"
@@ -45,12 +44,18 @@ ActionRegistry MediumRegistry(std::uint64_t seed) {
 /// Runs the program under `plan` on the concurrent runner and checks the
 /// full recovery contract against the sequential driver: same semantic
 /// event counts, same final value for every object at its home, valid
-/// merged log, serializable + orphan-consistent abstract image.
+/// merged log, serializable + orphan-consistent abstract image that the
+/// final state is locally consistent with, and a live Theorem 9 verdict
+/// (streamed from inside the run) equal to the post-hoc one. The first
+/// inner non-top action is statically aborted unless `with_abort` is
+/// false. The run is left in `*out` when non-null, for scenario checks.
 void CheckRecoveredEquivalence(std::uint64_t seed, const faults::FaultPlan& plan,
-                               Propagation prop = Propagation::kDelta) {
+                               Propagation prop = Propagation::kDelta,
+                               bool with_abort = true,
+                               ParallelRun* out = nullptr) {
   ActionRegistry reg = MediumRegistry(seed);
   std::set<ActionId> abort_set;
-  for (ActionId a = 1; a < reg.size(); ++a) {
+  for (ActionId a = 1; a < reg.size() && with_abort; ++a) {
     if (!reg.IsAccess(a) && reg.Parent(a) != kRootAction) {
       abort_set.insert(a);
       break;
@@ -68,9 +73,11 @@ void CheckRecoveredEquivalence(std::uint64_t seed, const faults::FaultPlan& plan
   par_opt.propagation = prop;
   par_opt.abort_set = abort_set;
   par_opt.plan = plan;
+  txn::OnlineChecker live;
+  par_opt.live_sink = &live;
   auto par = RunParallel(alg, par_opt);
   ASSERT_TRUE(par.ok()) << par.status() << " seed " << seed;
-  EXPECT_TRUE(par->complete) << "seed " << seed;
+  EXPECT_TRUE(par->complete) << par->stalls.ToString() << " seed " << seed;
   EXPECT_EQ(par->stats.performs, seq->stats.performs) << "seed " << seed;
   EXPECT_EQ(par->stats.commits, seq->stats.commits) << "seed " << seed;
   EXPECT_EQ(par->stats.aborts, seq->stats.aborts) << "seed " << seed;
@@ -84,7 +91,8 @@ void CheckRecoveredEquivalence(std::uint64_t seed, const faults::FaultPlan& plan
       alg, std::span<const dist::DistEvent>(par->events)))
       << "seed " << seed;
   // The streaming checker certifies the crash-recovered log as it
-  // replays; it must concur with the post-hoc Theorem 9 verdict.
+  // replays; it must concur with the post-hoc Theorem 9 verdict, and so
+  // must the one that watched the run live.
   txn::OnlineChecker online;
   auto abstract = ReplayAbstract(
       alg, std::span<const dist::DistEvent>(par->events), &online);
@@ -92,8 +100,14 @@ void CheckRecoveredEquivalence(std::uint64_t seed, const faults::FaultPlan& plan
   EXPECT_TRUE(aat::IsPermDataSerializable(abstract->tree)) << "seed " << seed;
   EXPECT_EQ(online.Verdict().outcome, txn::OnlineChecker::Outcome::kOk)
       << "seed " << seed << ": " << online.Verdict().detail;
+  EXPECT_EQ(live.Verdict().outcome, online.Verdict().outcome)
+      << "seed " << seed << ": " << live.Verdict().detail;
   EXPECT_TRUE(orphan::CheckOrphanViewConsistency(abstract->tree).ok())
       << "seed " << seed;
+  EXPECT_TRUE(
+      dist::CheckLocalConsistency(alg, par->final_state, *abstract).ok())
+      << "seed " << seed;
+  if (out != nullptr) *out = std::move(*par);
 }
 
 TEST(ParallelRecoveryTest, CrashRecoveryMatchesSequentialAcrossSeeds) {
@@ -105,7 +119,7 @@ TEST(ParallelRecoveryTest, CrashRecoveryMatchesSequentialAcrossSeeds) {
     faults::CrashSpec crash;
     crash.node = static_cast<NodeId>(seed % 3);
     crash.at_stamp = 4 + static_cast<std::int64_t>(seed);
-    crash.down_for_stamps = 3;
+    crash.down_for = 3;
     plan.crashes.push_back(crash);
     CheckRecoveredEquivalence(seed, plan);
   }
@@ -115,9 +129,11 @@ TEST(ParallelRecoveryTest, MultiCrashRecoversEveryTime) {
   // Two non-overlapping crashes of node 0 plus one of node 1 — each
   // rebirth replays a *larger* M_i than the last (retention is monotone).
   faults::FaultPlan plan;
-  plan.crashes.push_back(faults::CrashSpec{0, /*round=*/5, /*down_for=*/4});
-  plan.crashes.push_back(faults::CrashSpec{0, /*round=*/30, /*down_for=*/4});
-  plan.crashes.push_back(faults::CrashSpec{1, /*round=*/18, /*down_for=*/6});
+  plan.crashes.push_back(faults::CrashSpec{0, /*at_stamp=*/5, /*down_for=*/4});
+  plan.crashes.push_back(
+      faults::CrashSpec{0, /*at_stamp=*/30, /*down_for=*/4});
+  plan.crashes.push_back(
+      faults::CrashSpec{1, /*at_stamp=*/18, /*down_for=*/6});
   ActionRegistry reg = MediumRegistry(41);
   dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
   dist::DistAlgebra alg(&topo);
@@ -156,7 +172,7 @@ TEST(ParallelRecoveryTest, CrashUnderMessageChaosStillEquivalent) {
     faults::CrashSpec crash;
     crash.node = static_cast<NodeId>((seed + 1) % 3);
     crash.at_stamp = 6;
-    crash.down_for_stamps = 5;
+    crash.down_for = 5;
     plan.crashes.push_back(crash);
     CheckRecoveredEquivalence(seed + 50, plan,
                               seed % 2 == 0 ? Propagation::kDelta
@@ -188,7 +204,7 @@ TEST(ParallelRecoveryTest, CrashDuringHealingPartition) {
   faults::CrashSpec crash;
   crash.node = 2;
   crash.at_stamp = 10;
-  crash.down_for_stamps = 8;
+  crash.down_for = 8;
   plan.crashes.push_back(crash);
   faults::PartitionSpec part;
   part.a = 1;
@@ -210,21 +226,17 @@ TEST(ParallelRecoveryTest, PermanentPartitionDegradesGracefully) {
   ActionRegistry reg;
   ActionId t1 = reg.NewAction(kRootAction);
   ActionId t2 = reg.NewAction(kRootAction);
-  reg.NewAccess(t1, 0, Update::Add(1));
-  reg.NewAccess(t2, 0, Update::Add(2));
+  ActionId a1 = reg.NewAccess(t1, 0, Update::Add(1));
+  ActionId a2 = reg.NewAccess(t2, 0, Update::Add(2));
   dist::Topology topo(
       &reg, 3, [](ObjectId) { return 2u; },
       [&](ActionId a) { return a == t1 ? 0u : 1u; });
   dist::DistAlgebra alg(&topo);
   ParallelOptions opt;
-  faults::PartitionSpec p02{0, 2, 0, 0};
-  p02.from_stamp = 0;
-  p02.until_stamp = std::int64_t{1} << 40;
-  faults::PartitionSpec p12{1, 2, 0, 0};
-  p12.from_stamp = 0;
-  p12.until_stamp = std::int64_t{1} << 40;
-  opt.plan.partitions.push_back(p02);
-  opt.plan.partitions.push_back(p12);
+  opt.plan.partitions.push_back(
+      faults::PartitionSpec{0, 2, 0, std::int64_t{1} << 40});
+  opt.plan.partitions.push_back(
+      faults::PartitionSpec{1, 2, 0, std::int64_t{1} << 40});
   opt.max_attempts_per_step = 4;
   // Node 2 can never resolve its create obligations; keep its hopeless
   // spin short (the default 2^20 cap exists for adversarial plans that
@@ -242,10 +254,14 @@ TEST(ParallelRecoveryTest, PermanentPartitionDegradesGracefully) {
   auto abstract = ReplayAbstract(
       alg, std::span<const dist::DistEvent>(run->events), &online);
   ASSERT_TRUE(abstract.ok()) << abstract.status();
-  if (!run->complete) {
-    StallDiagnosis stalls = DiagnoseStalls(alg, run->final_state);
-    EXPECT_FALSE(stalls.empty()) << "incomplete runs must diagnose";
+  // Node 2 never learns of the accesses it homes, so it gives up, and
+  // the runner's own diagnosis names them.
+  EXPECT_FALSE(run->complete);
+  std::set<ActionId> stuck;
+  for (const StalledAction& sa : run->stalls.stalled) {
+    if (sa.is_access && sa.home == 2 && sa.object == 0) stuck.insert(sa.action);
   }
+  EXPECT_EQ(stuck, (std::set<ActionId>{a1, a2})) << run->stalls.ToString();
   EXPECT_TRUE(algebra::IsValidSequence(
       alg, std::span<const dist::DistEvent>(run->events)));
   EXPECT_TRUE(aat::IsPermDataSerializable(abstract->tree));
@@ -255,13 +271,12 @@ TEST(ParallelRecoveryTest, PermanentPartitionDegradesGracefully) {
 }
 
 TEST(ParallelRecoveryTest, RoundEraPlansWorkUnchangedOnStampClock) {
-  // Backwards compatibility: a plan written for the round-based driver
-  // (no stamp fields at all) runs on the concurrent runner with its
-  // round numbers reinterpreted as stamps — no rewriting required.
+  // Positional brace-init plans, the form the chaos tests and examples
+  // write, mean the same stamps on this runner as on every other host.
   faults::FaultPlan plan;
-  plan.crashes.push_back(faults::CrashSpec{1, /*round=*/8, /*down_for=*/4});
+  plan.crashes.push_back(faults::CrashSpec{1, /*at_stamp=*/8, /*down_for=*/4});
   plan.partitions.push_back(
-      faults::PartitionSpec{0, 2, /*from_round=*/5, /*until_round=*/40});
+      faults::PartitionSpec{0, 2, /*from_stamp=*/5, /*until_stamp=*/40});
   CheckRecoveredEquivalence(29, plan);
 }
 
@@ -304,6 +319,58 @@ TEST(ParallelRecoveryTest, CrashFiresWithEventRecordingOff) {
           << "object " << x << " seed " << seed;
     }
   }
+}
+
+/// Message faults only: drop/duplicate/delay (distinct delays reorder
+/// deliveries).
+faults::FaultPlan MessageChaosPlan(std::uint64_t seed) {
+  faults::FaultPlan plan;
+  plan.seed = seed;
+  plan.drop_prob = 0.2;
+  plan.dup_prob = 0.2;
+  plan.delay_prob = 0.3;
+  plan.max_delay_rounds = 3;
+  return plan;
+}
+
+TEST(ConcurrentChaosTest, DeltaModeSurvivesDropDupReorder) {
+  // Drop/duplicate/reorder injected into cross-thread traffic while
+  // delta propagation runs: dropped deltas are recovered by the
+  // anti-entropy full-summary retry, duplicates are absorbed by merge
+  // idempotence, and reordering by merge commutativity.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    CheckRecoveredEquivalence(seed * 13 + 3, MessageChaosPlan(seed * 7 + 1),
+                              Propagation::kDelta, /*with_abort=*/false);
+  }
+}
+
+TEST(ConcurrentChaosTest, EagerModeSurvivesMessageChaosWithAborts) {
+  ParallelRun run;
+  CheckRecoveredEquivalence(17, MessageChaosPlan(5), Propagation::kEager,
+                            /*with_abort=*/true, &run);
+  EXPECT_EQ(run.stats.aborts, 1u);
+}
+
+TEST(ConcurrentChaosTest, AcceptsAndRecoversCrashPlansOnConcurrentBuffer) {
+  // The full plan: both crashes fire on the logical clock, each node
+  // dies mid-loop and is rebirthed by durable-buffer replay, under
+  // message chaos and a temporary partition.
+  faults::FaultPlan plan;
+  plan.seed = 1;
+  plan.drop_prob = 0.3;
+  plan.dup_prob = 0.25;
+  plan.delay_prob = 0.25;
+  plan.max_delay_rounds = 3;
+  plan.crashes.push_back(faults::CrashSpec{0, /*at_stamp=*/8, /*down_for=*/4});
+  plan.crashes.push_back(
+      faults::CrashSpec{1, /*at_stamp=*/20, /*down_for=*/5});
+  plan.partitions.push_back(
+      faults::PartitionSpec{0, 1, /*from_stamp=*/5, /*until_stamp=*/25});
+  ParallelRun run;
+  CheckRecoveredEquivalence(2, plan, Propagation::kDelta,
+                            /*with_abort=*/false, &run);
+  EXPECT_EQ(run.stats.crashes, 2u);
+  EXPECT_EQ(run.stats.recovered_nodes, 2u);
 }
 
 }  // namespace
