@@ -8,19 +8,20 @@
 //
 // Emits a single JSON document on stdout so the trajectory can be
 // plotted directly:
-//   {"bench":"faults","nodes":3,"seeds":5,"trajectory":[{...},...]}
+//   {"bench":"faults","nodes":3,"seeds":5,"trajectory":[{...},...],
+//    "concurrent_trajectory":[...],"rebirth_replay":[...]}
 //
-// The "trajectory" runs on the single-thread host (ChaosRunProgram),
-// whose avg_rounds counts host sweeps. With --sweep_json the document
-// additionally carries a "concurrent_trajectory": the same rate sweep
-// executed on the multi-threaded runner (RunParallel, judged by
-// ReplayAbstract). Both hosts read the plan's crash triggers and
-// partition windows on the same logical clock. That is the committed
-// artifact bench/e10_faults.json (see EXPERIMENTS.md E10).
+// The "trajectory" runs on the in-process host's sweep scheduler
+// (ChaosRunProgram), the "concurrent_trajectory" the same rate sweep on
+// its thread scheduler (RunParallel), with the same options; both are
+// judged by ReplayAbstract, and in both avg_rounds is the busiest
+// node's loop passes. The document is the committed artifact
+// bench/e10_faults.json (see EXPERIMENTS.md E10).
 //
-// The sweep is also a gate: the binary exits 1 when a run fails, when a
-// planned crash is not recovered, or when a complete run with no
-// timeout-abort ends with other object values than RunProgram's.
+// The sweep is also a gate, on both schedulers: the binary exits 1 when
+// a run fails, when a planned crash is not recovered, or when a complete
+// run with no timeout-abort ends with other object values than
+// RunProgram's.
 //
 // The document's final section, "rebirth_replay", measures the bounded-
 // rebirth claim (§9.1 compaction): the time to replay a node's durable
@@ -36,14 +37,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <span>
 #include <string>
 #include <utility>
 
 #include "common/random.h"
 #include "dist/summary.h"
 #include "faults/faults.h"
-#include "sim/chaos_driver.h"
 #include "sim/parallel_runner.h"
 #include "storage/retention_log.h"
 
@@ -102,38 +101,7 @@ struct RatePoint {
   std::uint64_t recovered = 0;
 };
 
-/// One run's evidence, from either runtime.
-struct Outcome {
-  rnt::sim::DriverStats stats;
-  rnt::dist::DistState final_state;
-  rnt::valuemap::ValState abstract;
-  bool complete = true;
-};
-
-rnt::StatusOr<Outcome> RunOnce(const rnt::dist::DistAlgebra& alg,
-                               const rnt::faults::FaultPlan& plan,
-                               bool concurrent) {
-  rnt::sim::ChaosOptions opt;
-  opt.plan = plan;
-  if (!concurrent) {
-    auto run = rnt::sim::ChaosRunProgram(alg, opt);
-    if (!run.ok()) return run.status();
-    return Outcome{run->stats, std::move(run->final_state),
-                   std::move(run->abstract), run->complete};
-  }
-  rnt::sim::ParallelOptions popt;
-  popt.plan = plan;
-  popt.max_attempts_per_step = opt.max_attempts_per_step;
-  auto run = rnt::sim::RunParallel(alg, popt);
-  if (!run.ok()) return run.status();
-  auto abstract = rnt::sim::ReplayAbstract(
-      alg, std::span<const rnt::dist::DistEvent>(run->events));
-  if (!abstract.ok()) return abstract.status();
-  return Outcome{run->stats, std::move(run->final_state),
-                 std::move(*abstract), run->complete};
-}
-
-/// Runs the sweep at one rate on either runtime and prints the point.
+/// Runs the sweep at one rate on either scheduler and prints the point.
 /// Returns false on a failed run, an unrecovered planned crash, or a
 /// value mismatch against RunProgram (reported on stderr).
 bool SweepRate(double rate, bool concurrent, bool first_rate) {
@@ -149,11 +117,20 @@ bool SweepRate(double rate, bool concurrent, bool first_rate) {
     BuildProgram(reg, /*seed=*/100 + s);
     rnt::dist::Topology topo = rnt::dist::Topology::RoundRobin(&reg, kNodes);
     rnt::dist::DistAlgebra alg(&topo);
-    const rnt::faults::FaultPlan plan = PlanAtRate(rate, 1000 * s + 7);
-    auto run = RunOnce(alg, plan, concurrent);
+    rnt::sim::ParallelOptions opt;
+    opt.plan = PlanAtRate(rate, 1000 * s + 7);
+    const rnt::faults::FaultPlan& plan = opt.plan;
+    auto run = concurrent ? rnt::sim::RunParallel(alg, opt)
+                          : rnt::sim::ChaosRunProgram(alg, opt);
     if (!run.ok()) {
       std::fprintf(stderr, "run failed: %s\n",
                    run.status().ToString().c_str());
+      return false;
+    }
+    auto abstract = rnt::sim::ReplayAbstract(alg, run->events);
+    if (!abstract.ok()) {
+      std::fprintf(stderr, "replay failed: %s\n",
+                   abstract.status().ToString().c_str());
       return false;
     }
     if (run->stats.recovered_nodes < plan.crashes.size()) {
@@ -188,7 +165,7 @@ bool SweepRate(double rate, bool concurrent, bool first_rate) {
     if (run->complete) ++complete_runs;
     for (ActionId a = 1; a < reg.size(); ++a) {
       if (reg.Parent(a) == rnt::kRootAction &&
-          run->abstract.tree.IsCommitted(a)) {
+          abstract->tree.IsCommitted(a)) {
         ++top_commits;
       }
     }
@@ -341,33 +318,22 @@ bool ReplayPoint(std::uint64_t appends, bool first) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool sweep_json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sweep_json") == 0) {
-      sweep_json = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--sweep_json]\n", argv[0]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
   }
   const double kRates[] = {0.0, 0.1, 0.3, 0.5};
-  std::printf("{\"bench\":\"faults\",\"nodes\":%u,\"tops\":%d,\"seeds\":%d,",
+  std::printf("{\"bench\":\"faults\",\"nodes\":%u,\"tops\":%d,\"seeds\":%d",
               kNodes, kTops, kSeeds);
-  std::printf("\"trajectory\":[");
-  bool first_rate = true;
-  for (double rate : kRates) {
-    if (!SweepRate(rate, /*concurrent=*/false, first_rate)) return 1;
-    first_rate = false;
-  }
-  std::printf("]");
-  if (sweep_json) {
-    // The same schedule on the multi-threaded runtime: crashes kill and
-    // rebirth real threads, partitions sever links in the transport,
-    // and avg_rounds is the busiest node's loop passes.
-    std::printf(",\"concurrent_trajectory\":[");
-    first_rate = true;
+  // The sweep scheduler, then the same schedule on the thread scheduler:
+  // crashes kill and rebirth real threads, partitions sever links in the
+  // transport.
+  for (bool concurrent : {false, true}) {
+    std::printf(concurrent ? ",\"concurrent_trajectory\":["
+                           : ",\"trajectory\":[");
+    bool first_rate = true;
     for (double rate : kRates) {
-      if (!SweepRate(rate, /*concurrent=*/true, first_rate)) return 1;
+      if (!SweepRate(rate, concurrent, first_rate)) return 1;
       first_rate = false;
     }
     std::printf("]");

@@ -15,11 +15,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 
 #include "aat/aat.h"
 #include "orphan/orphan.h"
-#include "sim/chaos_driver.h"
 #include "sim/parallel_runner.h"
 
 using rnt::ActionId;
@@ -45,9 +43,17 @@ void BuildProgram(rnt::action::ActionRegistry& reg) {
   }
 }
 
-void PrintRun(const char* label, const rnt::sim::DriverStats& s,
-              const rnt::dist::DistState& final_state,
-              const rnt::action::ActionTree& abstract, bool complete) {
+/// Prints one leg; false if its log has no level-4 image.
+bool PrintRun(const char* label, const rnt::dist::DistAlgebra& alg,
+              const rnt::sim::ParallelRun& run) {
+  auto replayed = rnt::sim::ReplayAbstract(alg, run.events);
+  if (!replayed.ok()) {
+    std::printf("%s replay failed: %s\n", label,
+                replayed.status().ToString().c_str());
+    return false;
+  }
+  const rnt::action::ActionTree& abstract = replayed->tree;
+  const rnt::sim::DriverStats& s = run.stats;
   std::printf(
       "  [%s] rounds=%d messages=%llu performs=%llu commits=%llu\n"
       "           dropped=%llu duplicated=%llu delayed=%llu retries=%llu\n"
@@ -65,19 +71,15 @@ void PrintRun(const char* label, const rnt::sim::DriverStats& s,
   bool serial = rnt::aat::IsPermDataSerializable(abstract);
   bool orphan_ok = rnt::orphan::CheckOrphanViewConsistency(abstract).ok();
   std::printf("           complete=%s serializable=%s orphan-consistent=%s\n",
-              complete ? "yes" : "NO", serial ? "yes" : "NO",
+              run.complete ? "yes" : "NO", serial ? "yes" : "NO",
               orphan_ok ? "yes" : "NO");
   for (ObjectId x = 0; x < kObjects; ++x) {
     NodeId home = x % kNodes;  // RoundRobin placement, as below
-    rnt::Value v = final_state.nodes[home].vmap.Get(x, rnt::kRootAction);
+    rnt::Value v = run.final_state.nodes[home].vmap.Get(x, rnt::kRootAction);
     std::printf("           object %u @ node %u = %lld\n", x, home,
                 static_cast<long long>(v));
   }
-}
-
-void PrintRun(const char* label, const rnt::sim::ChaosRun& run) {
-  PrintRun(label, run.stats, run.final_state, run.abstract.tree,
-           run.complete);
+  return true;
 }
 
 }  // namespace
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
 
   // Leg 1: perfect network (the default FaultPlan injects nothing).
-  rnt::sim::ChaosOptions calm;
+  rnt::sim::ParallelOptions calm;
   calm.check_invariants = true;
   auto baseline = rnt::sim::ChaosRunProgram(alg, calm);
   if (!baseline.ok()) {
@@ -104,12 +106,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("leg 1 — calm seas:\n");
-  PrintRun("calm ", *baseline);
+  if (!PrintRun("calm ", alg, *baseline)) return 1;
 
   // Leg 2: the same program through the storm. Every fault below is
   // scheduled deterministically from the seed; rerunning with the same
   // seed reproduces the run bit-for-bit.
-  rnt::sim::ChaosOptions stormy;
+  rnt::sim::ParallelOptions stormy;
   stormy.check_invariants = true;
   stormy.plan.seed = seed;
   stormy.plan.drop_prob = 0.3;
@@ -128,33 +130,24 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("leg 2 — message chaos, two crashes, one partition:\n");
-  PrintRun("storm", *storm);
+  if (!PrintRun("storm", alg, *storm)) return 1;
 
-  // Leg 3: the same storm on the *multi-threaded* runtime. Nodes are now
+  // Leg 3: the same storm under the *thread* scheduler. Nodes are now
   // real threads; the crash kills node 0's thread mid-loop (its volatile
   // summary wiped, the durable retention buffer M_0 intact) and the
   // supervisor rebirths it with one legal Receive. The plan means the
-  // same stamps here as in leg 2. The run is judged post-hoc: the merged
-  // log replays through the level-4 algebra like any other.
-  rnt::sim::ParallelOptions parallel_storm;
-  parallel_storm.plan = stormy.plan;
-  parallel_storm.max_attempts_per_step = stormy.max_attempts_per_step;
+  // same stamps here as in leg 2, and every leg is judged the same way:
+  // its log replays through the level-4 algebra.
+  rnt::sim::ParallelOptions parallel_storm = stormy;
+  parallel_storm.check_invariants = false;  // a sweep-only check
   auto pstorm = rnt::sim::RunParallel(alg, parallel_storm);
   if (!pstorm.ok()) {
     std::printf("parallel storm failed: %s\n",
                 pstorm.status().ToString().c_str());
     return 1;
   }
-  auto pabstract = rnt::sim::ReplayAbstract(
-      alg, std::span<const rnt::dist::DistEvent>(pstorm->events));
-  if (!pabstract.ok()) {
-    std::printf("parallel storm replay failed: %s\n",
-                pabstract.status().ToString().c_str());
-    return 1;
-  }
   std::printf("leg 3 — the same storm, one thread per node:\n");
-  PrintRun("storm∥", pstorm->stats, pstorm->final_state, pabstract->tree,
-           pstorm->complete);
+  if (!PrintRun("storm∥", alg, *pstorm)) return 1;
   rnt::txn::FaultStats fstats = rnt::sim::ToFaultStats(pstorm->stats);
   std::printf("           fault record: %s\n", fstats.ToString().c_str());
   std::printf("           stall diagnosis: %s\n",

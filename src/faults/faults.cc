@@ -77,8 +77,9 @@ Status ValidatePlan(const FaultPlan& plan, NodeId num_nodes) {
     for (std::size_t j = i + 1; j < plan.crashes.size(); ++j) {
       const CrashSpec& c = plan.crashes[i];
       const CrashSpec& d = plan.crashes[j];
-      if (c.node == d.node && c.at_stamp < d.at_stamp + d.down_for &&
-          d.at_stamp < c.at_stamp + c.down_for) {
+      // Differences of non-negative stamps: no overflow at kNeverReborn.
+      if (c.node == d.node && c.at_stamp - d.at_stamp < d.down_for &&
+          d.at_stamp - c.at_stamp < c.down_for) {
         return Status::InvalidArgument(
             "overlapping crash intervals for one node");
       }

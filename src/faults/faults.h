@@ -2,6 +2,7 @@
 #define RNT_FAULTS_FAULTS_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,12 +21,26 @@ namespace rnt::faults {
 /// The trigger runs on the one logical clock every ℬ host keeps: the
 /// event stamp counter (one tick per recorded ℬ event, plus one per
 /// watchdog retry; the process hub observes the nodes' Lamport stamps).
-/// The node crashes once the clock reaches `at_stamp` and is reborn
-/// once it reaches `at_stamp + down_for`.
+/// The node crashes once the clock reaches `at_stamp`; RebornAt is the
+/// rule every host rebirths it by.
 struct CrashSpec {
+  /// The `down_for` of a crash the node is never reborn from.
+  static constexpr std::int64_t kNeverReborn =
+      std::numeric_limits<std::int64_t>::max();
+
   NodeId node = 0;
   std::int64_t at_stamp = 0;
   std::int64_t down_for = 4;
+
+  /// Whether a node down since this crash is reborn now: once the clock
+  /// reaches at_stamp + down_for, or earlier once every node that is up
+  /// is done or has given up (`rest_settled` — waiting longer cannot
+  /// help anyone, so the window is an upper bound on patience). A
+  /// kNeverReborn crash is never reborn.
+  bool RebornAt(std::int64_t clock, bool rest_settled) const {
+    return down_for != kNeverReborn &&
+           (rest_settled || clock - at_stamp >= down_for);
+  }
 };
 
 /// Kill the whole *process* — SIGKILL, no destructors, no flush — after
@@ -124,7 +139,8 @@ std::vector<CrashSpec> CrashesOf(const FaultPlan& plan, NodeId node);
 /// Validates a plan: probabilities in [0, 1], nodes within [k],
 /// non-negative stamps, down_for >= 1, ordered partition windows, no
 /// self-partitions (a == b), and no overlapping crash windows
-/// [at_stamp, at_stamp + down_for) for the same node.
+/// [at_stamp, at_stamp + down_for) for the same node (a kNeverReborn
+/// window never closes).
 Status ValidatePlan(const FaultPlan& plan, NodeId num_nodes);
 
 }  // namespace rnt::faults

@@ -42,6 +42,8 @@ struct DriverStats {
   std::uint64_t aborts = 0;
   std::uint64_t releases = 0;
   std::uint64_t loses = 0;
+  /// The busiest node's NodeCore passes (on the process host, those of
+  /// its last incarnation). RunProgram has no node loop and leaves it 0.
   int rounds = 0;
   /// Create/abort/commit obligations the concurrent runtimes took off
   /// their wake queues and re-judged. Change-driven scheduling keeps it
@@ -60,8 +62,8 @@ struct DriverStats {
   std::uint64_t recovered_nodes = 0;  // rebirths via buffer M_i replay
   std::uint64_t timeout_aborts = 0;   // stuck subtransactions aborted
 
-  /// Adds every counter of `other` except `rounds`, whose meaning is the
-  /// host's own.
+  /// Adds every counter of `other` except `rounds`, which is a maximum
+  /// over nodes, not a sum.
   DriverStats& operator+=(const DriverStats& other);
 
   friend bool operator==(const DriverStats&, const DriverStats&) = default;
@@ -77,7 +79,8 @@ struct DriverRun {
 /// perform at their objects' homes under Moss locking, parents commit
 /// bottom-up at their homes, and locks drain back to the root U —
 /// propagating summaries per `options.propagation` and counting the
-/// messages that the paper's model leaves unconstrained.
+/// messages that the paper's model leaves unconstrained. It reports the
+/// event and message counters; `rounds` and the fault counters stay 0.
 ///
 /// Returns kFailedPrecondition if the program cannot make progress (which
 /// would indicate a driver bug — the algebra itself is deadlock-free for

@@ -17,8 +17,8 @@
 namespace rnt::sim {
 
 /// One ℬ node's whole event loop, the single copy both runtimes drive:
-/// the in-process ParallelRunner (one thread per node) and the rnt_node
-/// process (NodeRuntime). Per pass it delivers mail, discharges woken
+/// the in-process host (parallel_runner.h; a sweep or one thread per
+/// node) and the rnt_node process (NodeRuntime). Per pass it delivers mail, discharges woken
 /// obligations, ships knowledge and runs the watchdog; every node event
 /// goes through DistAlgebra::Defined, Apply, and the WAL self-send. The
 /// host supplies only what differs between the runtimes (see Host).

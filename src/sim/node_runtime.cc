@@ -26,6 +26,11 @@ using dist::DistAlgebra;
 using dist::DistEvent;
 using dist::DistState;
 
+/// Idle passes before the node gives up, degrading the run to diagnosed
+/// incomplete instead of hanging. The rest of the watchdog runs at
+/// NodeCore's defaults.
+constexpr std::uint64_t kMaxIdleSpins = 20000;
+
 /// One ℬ node running as a whole OS process: the process *host* of the
 /// shared NodeCore loop (node_core.h). What it supplies:
 ///
@@ -59,7 +64,7 @@ class NodeRuntime final : NodeCore::Host {
         core_(alg_, options.node, &state_, this, &stats_,
               NodeCore::Options{.propagation = options.propagation,
                                 .anti_entropy = true,
-                                .max_idle_spins = options.max_idle_spins}) {}
+                                .max_idle_spins = kMaxIdleSpins}) {}
 
   Status Run() {
     if (options_.node >= topo_.k()) {
@@ -156,7 +161,7 @@ class NodeRuntime final : NodeCore::Host {
             Heartbeat());
       }
       if (transport_->AllDone()) break;
-      if (core_.idle() > 10 * options_.max_idle_spins) {
+      if (core_.idle() > 10 * kMaxIdleSpins) {
         break;  // supervisor unreachable for good; exit on our own
       }
       // Single-core friendliness: park on the link for at most 1 ms; an

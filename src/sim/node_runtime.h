@@ -29,10 +29,6 @@ struct NodeRuntimeOptions {
   /// Hub endpoint ("unix:<path>" or "tcp:<host>:<port>").
   std::string endpoint;
   Propagation propagation = Propagation::kDelta;
-  /// Idle passes before the node gives up (degrading the run to
-  /// diagnosed incomplete instead of hanging). The rest of the watchdog
-  /// runs at NodeCore's defaults.
-  std::uint64_t max_idle_spins = 60000;
 };
 
 /// Runs one ℬ node as this whole process: recovers durable state when

@@ -16,43 +16,29 @@
 
 namespace rnt::sim {
 
-/// Options for a multi-threaded execution of the distributed algebra ℬ.
+/// Options for an in-process execution of ℬ, under either scheduler
+/// (ChaosRunProgram or RunParallel).
 struct ParallelOptions {
-  /// Knowledge policy. The runner is reactive (nodes learn, they are not
-  /// asked), so it supports the two broadcast policies: kEager ships the
-  /// doer's full summary after every change; kDelta ships only the
+  /// Knowledge policy. The node loop is reactive (nodes learn, they are
+  /// not asked), so it supports the two broadcast policies: kEager ships
+  /// the doer's full summary after every change; kDelta ships only the
   /// entries new since the last send to each peer (per-peer frontiers),
   /// and deltas accumulated between flushes coalesce into one message.
-  /// kLazy needs a request channel the runner does not have — rejected.
+  /// kLazy needs a request channel the loop does not have — rejected.
   Propagation propagation = Propagation::kDelta;
   /// Actions to abort (instead of commit) once created; their descendants
   /// are never created. Same contract as DriverOptions::abort_set.
   std::set<ActionId> abort_set;
   /// The full fault schedule: message faults (drop/duplicate/delay —
-  /// delays of distinct messages reorder them), crashes, and partitions.
-  /// Crash triggers and partition windows run on the *logical clock* —
-  /// the global event stamp counter (CrashSpec::at_stamp /
-  /// PartitionSpec::from_stamp), the clock of every ℬ host. A crash
-  /// terminates the node's thread mid-loop after wiping its volatile
-  /// ActionSummary; the supervisor rebirths a fresh thread that replays
-  /// the mailbox's durable retention buffer M_i (one legal Receive) and
-  /// reconstructs its obligations from the recovered knowledge plus the
-  /// durable lock table. Message faults and partitions are applied per
-  /// sender by the in-process transport (MailboxTransport). Liveness
-  /// note: when the whole system quiesces before a rebirth stamp is
-  /// reached, the supervisor rebirths early rather than deadlock — stamp
-  /// windows are upper bounds on patience, not exact schedules.
+  /// delays of distinct messages reorder them), crashes, and partitions,
+  /// all on the logical clock (CrashSpec::at_stamp /
+  /// PartitionSpec::from_stamp). A default plan injects nothing.
   faults::FaultPlan plan;
-  /// Watchdog escalation threshold. The per-node watchdog (NodeCore)
-  /// re-broadcasts the full summary after NodeCore::kStallRetrySpins idle
-  /// passes, backing off exponentially (the anti-entropy retry that makes
-  /// dropped deltas recoverable; counted in stats.retries; each retry
-  /// also ticks the logical clock). This is the number of unproductive
-  /// retries before the node timeout-aborts the deepest abortable
-  /// enclosing subtransaction homed locally (first of a stuck blocker's
-  /// ancestors, then of its own pending path) — the dynamic
-  /// lose-lock/orphan path, for graceful degradation under partitions.
-  /// Counted in stats.timeout_aborts.
+  /// Watchdog escalation threshold (NodeCore::Options, the same default
+  /// as an rnt_node process): unproductive anti-entropy retries before a
+  /// node timeout-aborts the deepest abortable enclosing subtransaction
+  /// homed locally — the dynamic lose-lock/orphan path, for graceful
+  /// degradation under partitions. Counted in stats.timeout_aborts.
   int max_attempts_per_step = 16;
   /// Consecutive no-progress passes before a node abandons its remaining
   /// obligations (returns an incomplete run rather than spinning forever;
@@ -73,65 +59,85 @@ struct ParallelOptions {
   /// being called from whichever node thread records (OnlineChecker is
   /// fine: all calls are serialized under the live mutex).
   txn::TraceSink* live_sink = nullptr;
-  /// When non-empty, every entry retained into a node's durable buffer
-  /// M_i (the §9.1 retention summary) is also written through to an
-  /// append-only storage::RetentionLog file `durable_dir/retained-NNN.log`
-  /// — so M_i is durable against *process* death, not just node-thread
-  /// crashes. On rebirth the runner re-loads the on-disk log and verifies
-  /// the in-memory retention is a sub-summary of it (the write-through
-  /// discipline audited at the moment it matters). The directory must
-  /// exist; logs from a previous run of the same program are appended to,
-  /// and RetentionLog::Load merges records monotonically (status upgrades
-  /// only), mirroring M_i's monotonicity.
-  std::string durable_dir;
+  /// ChaosRunProgram only (RunParallel rejects it, kInvalidArgument):
+  /// keep the level-4 shadow while recording — an event without a
+  /// level-4 image is kInternal — and check the Lemma 23-26
+  /// local-consistency obligations against it after every sweep that
+  /// recorded an event or crashed or rebirthed a node (crashed nodes'
+  /// knowledge obligations waived while down; a violation is kInternal).
+  /// Costs O(state) per such sweep.
+  bool check_invariants = false;
 };
 
-/// Result of a parallel run.
+/// Result of an in-process run.
 struct ParallelRun {
   DriverStats stats;
   dist::DistState final_state;
   /// The applied events of all nodes, merged in global stamp order — a
   /// valid computation of ℬ (checked by tests via IsValidSequence): every
   /// payload is a sub-summary of the sender's monotone knowledge, so a
-  /// Send stays legal at any later point in the interleaving.
+  /// Send stays legal at any later point in the interleaving. The crash
+  /// wipes are *not* events: recovery re-enters legal states via Receive
+  /// of the buffer M_i, so the log replays cleanly against the
+  /// un-crashed algebra. ReplayAbstract gives its level-4 image.
   std::vector<dist::DistEvent> events;
-  /// False when some node abandoned obligations after max_idle_spins;
-  /// `stalls` then names what each live action was waiting on.
+  /// False when some node is down for good or did not discharge its
+  /// obligations (it gave up after max_idle_spins); `stalls` then names
+  /// what each live action was waiting on.
   bool complete = true;
   StallDiagnosis stalls;
 };
 
-/// Executes the entire registered program on ℬ with one thread per node:
-/// each node runs a reactive event loop against its own component of the
-/// state (the algebra's Local Domain / Local Changes properties make the
-/// state partition race-free by construction) and the mutex-free
-/// ConcurrentMailbox carries summaries between nodes.
+/// Projects the fault counters into the trace-level fault record.
+txn::FaultStats ToFaultStats(const DriverStats& stats);
+
+/// The in-process host of the NodeCore loop, under two schedulers. Both
+/// run one core per node over a MailboxTransport, whose per-sender
+/// seeded LinkInterposer drops, duplicates, delays and partitions
+/// transmissions, and share everything else:
 ///
-/// Resilience (see DESIGN.md "Resilience in the concurrent runtime"):
-/// the runner survives the full FaultPlan. A WAL discipline self-appends
-/// every summary change into the mailbox's durable retention buffer, so
-/// M_i stays a superset of node i's volatile knowledge; a crash kills
-/// the node thread after wiping that volatile summary, and the
-/// supervisor rebirths a fresh thread that replays M_i — the paper's
-/// §9.1 recovery, executed as one Receive event. A per-node watchdog
-/// (bounded-backoff anti-entropy retries, then timeout-abort of the
-/// deepest locally-abortable enclosing subtransaction) degrades
-/// partitioned runs gracefully to incomplete-but-diagnosed results.
+///  * the logical clock: one tick per recorded event and per watchdog
+///    retry, on which the plan's crashes and partitions run;
+///  * the record: each event is stamped on that clock (and streamed to
+///    the live sink / level-4 shadow when set); M_i is the mailbox's
+///    retention buffer, which the core's WAL self-sends keep a superset
+///    of the node's volatile knowledge;
+///  * the crash: once the clock reaches CrashSpec::at_stamp, before the
+///    node's next pass, its volatile summary is wiped (the value map —
+///    the durable lock table for objects homed there — and M_i survive)
+///    and the node stops;
+///  * the rebirth, by CrashSpec::RebornAt: NodeCore::Rebirth replays M_i
+///    with one legal Receive (paper §9.1);
+///  * the end: every node that is up is done or has given up, and no
+///    node waits to be reborn. A node that is down for good or has not
+///    discharged its obligations then makes the run incomplete, with a
+///    StallDiagnosis.
 ///
-/// Scheduling discipline: per-object perform order is pinned to the
-/// sequential driver's DFS order (a ticket list per object). Waits then
-/// only ever point from a DFS-later access to a DFS-earlier transaction,
-/// so the runner is deadlock-free by the same argument as the DFS driver,
-/// and final value maps are *identical* to RunProgram's on every program
-/// — the parallelism changes the interleaving, never the outcome.
+/// Recovery, anti-entropy retries and timeout-aborts are NodeCore's
+/// (node_core.h). Per-object perform order is pinned to the sequential
+/// driver's DFS order, so a run without timeout-aborts ends with the same
+/// final value maps as RunProgram on every program and fault plan.
+///
+/// ChaosRunProgram is the deterministic scheduler: on the calling
+/// thread, each sweep steps every node's core once, in node order. Two
+/// runs with equal options produce bit-identical ParallelRuns.
+StatusOr<ParallelRun> ChaosRunProgram(const dist::DistAlgebra& alg,
+                                      const ParallelOptions& options = {});
+
+/// The thread scheduler: one thread per node runs its core free, and the
+/// calling thread supervises — it rebirths a crashed node (after joining
+/// its thread) on a fresh one and stops the run. Race-freedom rests on
+/// the algebra's structure (Local Domain / Local Changes: a node's
+/// events touch only its own component) and the mutex-free
+/// ConcurrentMailbox. Value-deterministic, not trace-deterministic.
 StatusOr<ParallelRun> RunParallel(const dist::DistAlgebra& alg,
                                   const ParallelOptions& options = {});
 
 /// Replays a recorded ℬ computation bottom-up through the level-4 algebra
 /// (send/receive map to Λ): returns the abstract (tree, value-map) state,
 /// or kInternal if some event's image is undefined — the refinement
-/// obligation a valid run must never trip. Used to judge parallel runs
-/// with the Theorem 9 checker.
+/// obligation a valid run must never trip. Used to judge runs with the
+/// Theorem 9 checker.
 StatusOr<valuemap::ValState> ReplayAbstract(
     const dist::DistAlgebra& alg, std::span<const dist::DistEvent> events);
 

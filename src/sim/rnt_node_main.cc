@@ -21,7 +21,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: rnt_node --spec=<token> --node=N --dir=DIR "
     "--endpoint=unix:PATH|tcp:HOST:PORT [--incarnation=G] "
-    "[--recover] [--propagation=delta|eager] [--max-idle-spins=N]\n";
+    "[--recover] [--propagation=delta|eager]\n";
 
 bool TakeFlag(const char* arg, const char* name, std::string* value) {
   const std::size_t n = std::strlen(name);
@@ -83,11 +83,6 @@ int main(int argc, char** argv) {
       } else {
         return BadFlag("--propagation", value);
       }
-    } else if (TakeFlag(argv[i], "--max-idle-spins", &value)) {
-      if (!ParseCount(value, ~0ull, &n)) {
-        return BadFlag("--max-idle-spins", value);
-      }
-      options.max_idle_spins = n;
     } else if (std::strcmp(argv[i], "--recover") == 0) {
       options.recover = true;
     } else {

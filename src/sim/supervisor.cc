@@ -1,6 +1,7 @@
 #include "sim/supervisor.h"
 
 #include <algorithm>
+#include <climits>
 #include <csignal>
 #include <cstring>
 #include <ctime>
@@ -40,14 +41,18 @@ std::int64_t NowMs() {
   return static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
 }
 
+/// Whole-run wall deadline. Generous: CI machines are slow, and a
+/// healthy chaos run ends by progress, not by clock.
+constexpr std::int64_t kDeadlineMs = 180000;
+
 struct Child {
   pid_t pid = -1;
   std::uint32_t incarnation = 0;
   bool alive = false;
-  bool awaiting_rebirth = false;
-  std::int64_t rebirth_stamp = 0;
   std::vector<faults::CrashSpec> specs;  // sorted by trigger stamp
   std::size_t next_spec = 0;
+  /// The kill the node is down from, awaiting rebirth; null otherwise.
+  const faults::CrashSpec* down = nullptr;
   std::uint64_t max_acked = 0;
 };
 
@@ -64,8 +69,6 @@ StatusOr<pid_t> SpawnNode(const SupervisorOptions& options, NodeId node,
   args.push_back(std::string("--propagation=") +
                  (options.propagation == Propagation::kEager ? "eager"
                                                              : "delta"));
-  args.push_back("--max-idle-spins=" +
-                 std::to_string(options.node_max_idle_spins));
   if (recover) args.push_back("--recover");
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -396,11 +399,11 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   bool shutdown = false;
 
   while (!shutdown) {
-    if (NowMs() - start_ms > options.deadline_ms) {
+    if (NowMs() - start_ms > kDeadlineMs) {
       const std::string diag = DescribeNodes(hub.Snapshot(), children);
       kill_all();
       return Status::Timeout("multi-process run exceeded " +
-                             std::to_string(options.deadline_ms) +
+                             std::to_string(kDeadlineMs) +
                              "ms; " + diag);
     }
     const auto snap = hub.Snapshot();
@@ -466,19 +469,18 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
         return ended;
       }
       ch.alive = false;
-      ch.awaiting_rebirth = true;
-      ch.rebirth_stamp = spec.at_stamp + spec.down_for;
+      ch.down = &spec;
       ++ch.next_spec;
       ++run.kills;
       acted = true;
     }
 
-    // Rebirths, on the rebirth stamp or on quiescence.
+    // Rebirths, by the crash rule (quiescence standing in for every live
+    // node settled).
     for (NodeId i = 0; i < k; ++i) {
       Child& ch = children[i];
-      if (!ch.awaiting_rebirth) continue;
-      if (static_cast<std::int64_t>(observed) < ch.rebirth_stamp &&
-          !quiesced) {
+      if (ch.down == nullptr ||
+          !ch.down->RebornAt(static_cast<std::int64_t>(observed), quiesced)) {
         continue;
       }
       auto pid = SpawnNode(options, i, ch.incarnation + 1, /*recover=*/true,
@@ -490,7 +492,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       ch.pid = *pid;
       ++ch.incarnation;
       ch.alive = true;
-      ch.awaiting_rebirth = false;
+      ch.down = nullptr;
       acted = true;
     }
     if (acted) {
@@ -498,13 +500,16 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       continue;
     }
 
-    // Completion: every node reports done (or gave up), every scheduled
-    // kill has been delivered, nobody is waiting to be reborn.
+    // Completion: every scheduled kill has been delivered, and every
+    // node reports done (or gave up) or is down for good.
     bool all_done = true;
     for (NodeId i = 0; i < k; ++i) {
-      if (!children[i].alive || children[i].next_spec <
-                                    children[i].specs.size() ||
-          children[i].awaiting_rebirth || !snap[i].done) {
+      const Child& ch = children[i];
+      const bool gone =
+          ch.down != nullptr &&
+          ch.down->down_for == faults::CrashSpec::kNeverReborn;
+      if (ch.next_spec < ch.specs.size() ||
+          !(gone || (ch.alive && snap[i].done))) {
         all_done = false;
         break;
       }
@@ -554,8 +559,14 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   for (NodeId i = 0; i < k; ++i) {
     run.recovered_scalar[i] =
         std::max(run.recovered_scalar[i], final_snap[i].recovered_scalar);
-    if (final_snap[i].gave_up) run.complete = false;
+    if (final_snap[i].gave_up || children[i].down != nullptr) {
+      run.complete = false;
+    }
     run.phases.nodes.push_back(final_snap[i].phases);
+    run.stats.rounds = std::max(
+        run.stats.rounds,
+        static_cast<int>(std::min<std::uint64_t>(final_snap[i].phases.passes,
+                                                 INT_MAX)));
   }
   run.hub = hub.Stats();
   hub.Stop();

@@ -28,17 +28,13 @@ struct SupervisorOptions {
   SocketHub::Backend backend = SocketHub::Backend::kUnix;
   /// Drop/dup/delay + stamp-windowed partitions run at the hub's link
   /// interposer; `plan.crashes` become kill -9 of node processes, judged
-  /// on the hub-observed logical clock (with the same quiescence
-  /// early-fire rule as the in-process runner — stamp windows are upper
-  /// bounds on patience, so every scheduled kill is guaranteed to fire).
+  /// on the hub-observed logical clock. Stamp windows are upper bounds
+  /// on patience: 0.5 s without a hub clock change fires a scheduled
+  /// kill early, and counts as every live node settled for
+  /// CrashSpec::RebornAt. A kNeverReborn kill is never reborn and leaves
+  /// the run incomplete.
   faults::FaultPlan plan;
   Propagation propagation = Propagation::kDelta;
-  /// Node-side give-up threshold, passed through on argv.
-  std::uint64_t node_max_idle_spins = 20000;
-  /// Whole-run wall deadline; exceeded → children killed, Timeout with
-  /// per-node diagnostics. Generous: CI machines are slow, and a healthy
-  /// chaos run ends by progress, not by clock.
-  int deadline_ms = 180000;
 };
 
 /// Where a multi-process run's wall time went: the supervisor's five
@@ -117,7 +113,8 @@ Status MergeNodeTraces(const std::string& dir, NodeId k,
                        const dist::DistAlgebra& alg, MultiProcessRun* run);
 
 /// Runs the whole program across k node processes. Non-ok only for
-/// harness-level failures (spawn/reap trouble, deadline, durability
+/// harness-level failures (spawn/reap trouble, the 180 s wall deadline —
+/// children killed, Timeout with per-node diagnostics — durability
 /// violations, a trace that fails its checks); fault-degraded runs come
 /// back ok with complete=false.
 StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options);

@@ -16,16 +16,13 @@ namespace rnt::storage {
 
 /// Durable backing for a node's retention buffer M_i (paper §9.1).
 ///
-/// The parallel ℬ runtime retains (action, status) knowledge in
-/// ConcurrentMailbox::Retain before acting on it — the WAL discipline
-/// that makes simulated crash/rebirth sound. This log extends that
-/// discipline to real process death: retained knowledge is also
-/// appended here, so after kill -9 the node's M_i is rebuilt from disk
-/// and rebirth replays it as the paper's one legal Receive. Appends are
-/// batched: the rnt_node process writes one batch per node pass — its
-/// trace write first, then this retention write, then any transmission
-/// (per pass: trace write → retention write → transmit) — and the
-/// in-process runner one batch per Retain call.
+/// The in-process ℬ host keeps M_i in ConcurrentMailbox::Retain only —
+/// its crashes wipe a node, not the process. The rnt_node process
+/// retains into this log instead, so after kill -9 the node's M_i is
+/// rebuilt from disk and rebirth replays it as the paper's one legal
+/// Receive. Appends are batched: one batch per node pass — the trace
+/// write first, then this retention write, then any transmission (per
+/// pass: trace write → retention write → transmit).
 ///
 /// M_i monotonicity makes the format trivial: entries only ever *add*
 /// knowledge (a status may upgrade active → committed/aborted, never

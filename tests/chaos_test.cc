@@ -1,5 +1,3 @@
-#include "sim/chaos_driver.h"
-
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,6 +8,7 @@
 #include "algebra/algebra.h"
 #include "faults/faults.h"
 #include "orphan/orphan.h"
+#include "sim/node_core.h"
 #include "sim/parallel_runner.h"
 #include "testutil.h"
 
@@ -163,7 +162,7 @@ TEST(ChaosDriverTest, FaultFreeRunMatchesPlainDriver) {
   dist::DistAlgebra alg(&topo);
   auto plain = RunProgram(alg);
   ASSERT_TRUE(plain.ok()) << plain.status();
-  ChaosOptions opt;  // default plan: no faults
+  ParallelOptions opt;  // default plan: no faults
   opt.check_invariants = true;
   auto chaos = ChaosRunProgram(alg, opt);
   ASSERT_TRUE(chaos.ok()) << chaos.status();
@@ -192,7 +191,7 @@ TEST(ChaosDriverTest, SurvivesChaosWithInvariantsUnderFire) {
   ActionRegistry reg = MediumRegistry(11);
   dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
   dist::DistAlgebra alg(&topo);
-  ChaosOptions opt;
+  ParallelOptions opt;
   opt.plan = ChaoticPlan(42);
   opt.check_invariants = true;
   auto run = ChaosRunProgram(alg, opt);
@@ -203,8 +202,10 @@ TEST(ChaosDriverTest, SurvivesChaosWithInvariantsUnderFire) {
   EXPECT_GT(run->stats.dropped_msgs, 0u);
   EXPECT_GT(run->stats.duplicated_msgs, 0u);
   EXPECT_GT(run->stats.retries, 0u);
-  EXPECT_TRUE(aat::IsPermDataSerializable(run->abstract.tree));
-  EXPECT_TRUE(orphan::CheckOrphanViewConsistency(run->abstract.tree).ok());
+  auto abstract = ReplayAbstract(alg, run->events);
+  ASSERT_TRUE(abstract.ok()) << abstract.status();
+  EXPECT_TRUE(aat::IsPermDataSerializable(abstract->tree));
+  EXPECT_TRUE(orphan::CheckOrphanViewConsistency(abstract->tree).ok());
 }
 
 TEST(ChaosDriverTest, EventLogIsAValidComputationOfB) {
@@ -215,7 +216,7 @@ TEST(ChaosDriverTest, EventLogIsAValidComputationOfB) {
   ActionRegistry reg = MediumRegistry(11);
   dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
   dist::DistAlgebra alg(&topo);
-  ChaosOptions opt;
+  ParallelOptions opt;
   opt.plan = ChaoticPlan(42);
   auto run = ChaosRunProgram(alg, opt);
   ASSERT_TRUE(run.ok()) << run.status();
@@ -227,7 +228,7 @@ TEST(ChaosDriverTest, BitReproducibleFromSeed) {
   ActionRegistry reg = MediumRegistry(11);
   dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
   dist::DistAlgebra alg(&topo);
-  ChaosOptions opt;
+  ParallelOptions opt;
   opt.plan = ChaoticPlan(42);
   auto a = ChaosRunProgram(alg, opt);
   auto b = ChaosRunProgram(alg, opt);
@@ -238,7 +239,7 @@ TEST(ChaosDriverTest, BitReproducibleFromSeed) {
   EXPECT_TRUE(a->events == b->events);
   // And a different seed takes a different trajectory (same program, same
   // fault rates — only the PRNG stream differs).
-  ChaosOptions other = opt;
+  ParallelOptions other = opt;
   other.plan.seed = 43;
   auto c = ChaosRunProgram(alg, other);
   ASSERT_TRUE(c.ok()) << c.status();
@@ -261,10 +262,13 @@ TEST(ChaosDriverTest, TimeoutAbortsUnreachableSubtransactions) {
       &reg, 3, [](ObjectId) { return 2u; },
       [&](ActionId a) { return a == t1 ? 0u : 1u; });
   dist::DistAlgebra alg(&topo);
-  ChaosOptions opt;
+  ParallelOptions opt;
   opt.plan.partitions.push_back(faults::PartitionSpec{0, 2, 0, 1 << 20});
   opt.plan.partitions.push_back(faults::PartitionSpec{1, 2, 0, 1 << 20});
   opt.max_attempts_per_step = 4;
+  // Node 2 can never resolve its objects; keep its hopeless spin short,
+  // as ParallelRecoveryTest.PermanentPartitionDegradesGracefully does.
+  opt.max_idle_spins = 1u << 14;
   opt.check_invariants = true;
   auto run = ChaosRunProgram(alg, opt);
   ASSERT_TRUE(run.ok()) << run.status();
@@ -280,11 +284,13 @@ TEST(ChaosDriverTest, TimeoutAbortsUnreachableSubtransactions) {
   EXPECT_GT(run->stats.dropped_msgs, 0u) << "partition ate the requests";
   // The accesses are now live orphans below aborted parents; the tree is
   // still serializable and orphan-consistent (they never performed).
-  EXPECT_TRUE(run->abstract.tree.IsAborted(t1));
-  EXPECT_TRUE(run->abstract.tree.IsAborted(t2));
-  EXPECT_EQ(orphan::Orphans(run->abstract.tree).size(), 2u);
-  EXPECT_TRUE(aat::IsPermDataSerializable(run->abstract.tree));
-  EXPECT_TRUE(orphan::CheckOrphanViewConsistency(run->abstract.tree).ok());
+  auto abstract = ReplayAbstract(alg, run->events);
+  ASSERT_TRUE(abstract.ok()) << abstract.status();
+  EXPECT_TRUE(abstract->tree.IsAborted(t1));
+  EXPECT_TRUE(abstract->tree.IsAborted(t2));
+  EXPECT_EQ(orphan::Orphans(abstract->tree).size(), 2u);
+  EXPECT_TRUE(aat::IsPermDataSerializable(abstract->tree));
+  EXPECT_TRUE(orphan::CheckOrphanViewConsistency(abstract->tree).ok());
 }
 
 TEST(ChaosDriverTest, CrashRecoveryPreservesOutcome) {
@@ -294,11 +300,11 @@ TEST(ChaosDriverTest, CrashRecoveryPreservesOutcome) {
   ActionRegistry reg = MediumRegistry(23);
   dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
   dist::DistAlgebra alg(&topo);
-  ChaosOptions faultfree;
+  ParallelOptions faultfree;
   auto base = ChaosRunProgram(alg, faultfree);
   ASSERT_TRUE(base.ok()) << base.status();
   ASSERT_TRUE(base->complete);
-  ChaosOptions opt;
+  ParallelOptions opt;
   opt.plan.crashes.push_back(faults::CrashSpec{1, /*at_stamp=*/6,
                                                /*down_for=*/3});
   opt.check_invariants = true;
@@ -334,22 +340,29 @@ TEST(ChaosDriverTest, PermanentCrashDegradesGracefully) {
       &reg, 3, [](ObjectId x) { return static_cast<NodeId>(x % 2); },
       [&](ActionId a) { return reg.IsAncestor(t1, a) ? 2u : 0u; });
   dist::DistAlgebra alg(&topo);
-  ChaosOptions opt;
+  ParallelOptions opt;
   // t1 creates at node 2 and a1 at node 2 (origin = parent's home); a1
   // performs at node 0 after a knowledge transfer; then node 2 dies
   // before t1's commit can run there. The stamp comes from the
   // fault-free run of this program, whose event log records create(t1)
   // at stamp 14, a1's perform at stamp 22 and commit(t1) at stamp 36:
   // stamp 25 falls after the perform and before the commit.
-  opt.plan.crashes.push_back(faults::CrashSpec{2, /*at_stamp=*/25,
-                                               /*down_for=*/1 << 20});
+  opt.plan.crashes.push_back(faults::CrashSpec{
+      2, /*at_stamp=*/25, faults::CrashSpec::kNeverReborn});
   opt.max_attempts_per_step = 4;
+  // Node 0 waits on t1's commit for good; it gives up after this many
+  // idle passes.
+  opt.max_idle_spins = 1u << 14;
   auto run = ChaosRunProgram(alg, opt);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_FALSE(run->complete);
   EXPECT_FALSE(run->stalls.empty()) << "diagnosis must name the stall";
-  EXPECT_TRUE(run->abstract.tree.IsCommitted(t2)) << "t2 must still commit";
-  EXPECT_TRUE(run->abstract.tree.IsActive(t1)) << "t1 abandoned, not aborted";
+  EXPECT_EQ(run->stats.crashes, 1u);
+  EXPECT_EQ(run->stats.recovered_nodes, 0u);
+  auto abstract = ReplayAbstract(alg, run->events);
+  ASSERT_TRUE(abstract.ok()) << abstract.status();
+  EXPECT_TRUE(abstract->tree.IsCommitted(t2)) << "t2 must still commit";
+  EXPECT_TRUE(abstract->tree.IsActive(t1)) << "t1 abandoned, not aborted";
   bool names_t1 = false;
   for (const StalledAction& s : run->stalls.stalled) {
     if (s.action == t1) names_t1 = true;
@@ -367,7 +380,7 @@ TEST(ChaosDriverTest, StaticAbortSetStillHonored) {
   reg.NewAccess(s2, 0, Update::Add(1));
   dist::Topology topo = dist::Topology::RoundRobin(&reg, 2);
   dist::DistAlgebra alg(&topo);
-  ChaosOptions opt;
+  ParallelOptions opt;
   opt.abort_set = {s1};
   opt.plan.seed = 3;
   opt.plan.drop_prob = 0.2;
@@ -389,15 +402,17 @@ TEST(ChaosDriverTest, SweepManySeedsAlwaysSerializable) {
     ActionRegistry reg = MediumRegistry(seed);
     dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
     dist::DistAlgebra alg(&topo);
-    ChaosOptions opt;
+    ParallelOptions opt;
     opt.plan = ChaoticPlan(seed * 31 + 1);
     opt.plan.drop_prob = 0.2 + 0.05 * static_cast<double>(seed % 3);
     opt.check_invariants = true;
     auto run = ChaosRunProgram(alg, opt);
     ASSERT_TRUE(run.ok()) << run.status() << " seed " << seed;
-    EXPECT_TRUE(aat::IsPermDataSerializable(run->abstract.tree))
+    auto abstract = ReplayAbstract(alg, run->events);
+    ASSERT_TRUE(abstract.ok()) << abstract.status() << " seed " << seed;
+    EXPECT_TRUE(aat::IsPermDataSerializable(abstract->tree))
         << "seed " << seed;
-    EXPECT_TRUE(orphan::CheckOrphanViewConsistency(run->abstract.tree).ok())
+    EXPECT_TRUE(orphan::CheckOrphanViewConsistency(abstract->tree).ok())
         << "seed " << seed;
     EXPECT_TRUE(algebra::IsValidSequence(
         alg, std::span<const dist::DistEvent>(run->events)))
@@ -411,7 +426,7 @@ TEST(ChaosDriverTest, RejectsLazyPropagationFailFast) {
   ActionRegistry reg = MediumRegistry(5);
   dist::Topology topo = dist::Topology::RoundRobin(&reg, 2);
   dist::DistAlgebra alg(&topo);
-  ChaosOptions lazy;
+  ParallelOptions lazy;
   lazy.propagation = Propagation::kLazy;
   auto run = ChaosRunProgram(alg, lazy);
   ASSERT_FALSE(run.ok());
@@ -421,8 +436,128 @@ TEST(ChaosDriverTest, RejectsLazyPropagationFailFast) {
   EXPECT_EQ(RunParallel(alg, par).status().code(),
             StatusCode::kInvalidArgument);
 
-  ChaosOptions delta;
+  ParallelOptions delta;
   ASSERT_TRUE(ChaosRunProgram(alg, delta).ok());
+}
+
+TEST(FaultInjectorTest, CrashRuleRebirthsOnTheStampOrOnceTheRestSettle) {
+  const faults::CrashSpec crash{1, /*at_stamp=*/10, /*down_for=*/5};
+  EXPECT_FALSE(crash.RebornAt(14, /*rest_settled=*/false));
+  EXPECT_TRUE(crash.RebornAt(15, /*rest_settled=*/false));
+  EXPECT_TRUE(crash.RebornAt(11, /*rest_settled=*/true)) << "early rebirth";
+  const faults::CrashSpec never{1, 10, faults::CrashSpec::kNeverReborn};
+  EXPECT_FALSE(never.RebornAt(std::int64_t{1} << 62, false));
+  EXPECT_FALSE(never.RebornAt(11, /*rest_settled=*/true));
+  // A permanent crash is a valid plan; a later crash of the same node
+  // falls inside its window, which never closes.
+  faults::FaultPlan plan;
+  plan.crashes.push_back(never);
+  EXPECT_TRUE(faults::ValidatePlan(plan, 3).ok());
+  plan.crashes.push_back(faults::CrashSpec{1, 1 << 30, 4});
+  EXPECT_EQ(faults::ValidatePlan(plan, 3).code(),
+            StatusCode::kInvalidArgument);
+}
+
+/// Final value of every object at its home.
+std::vector<Value> HomeValues(const dist::Topology& topo,
+                              const dist::DistState& state, ObjectId objects) {
+  std::vector<Value> values;
+  for (ObjectId x = 0; x < objects; ++x) {
+    values.push_back(
+        state.nodes[topo.HomeOfObject(x)].vmap.Get(x, kRootAction));
+  }
+  return values;
+}
+
+TEST(InProcessHostTest, SchedulersAgreeOnCrashDropPartitionPlans) {
+  // The sweep and the thread scheduler over the same host: the same plan
+  // of crashes, drops and a partition must end the same way on both.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    ActionRegistry reg = MediumRegistry(seed + 60);
+    dist::Topology topo = dist::Topology::RoundRobin(&reg, 3);
+    dist::DistAlgebra alg(&topo);
+    ParallelOptions opt;
+    opt.plan = ChaoticPlan(seed * 7 + 5);
+    auto swept = ChaosRunProgram(alg, opt);
+    auto threaded = RunParallel(alg, opt);
+    ASSERT_TRUE(swept.ok()) << swept.status() << " seed " << seed;
+    ASSERT_TRUE(threaded.ok()) << threaded.status() << " seed " << seed;
+    EXPECT_EQ(swept->complete, threaded->complete) << "seed " << seed;
+    EXPECT_TRUE(swept->complete) << swept->stalls.ToString();
+    EXPECT_EQ(swept->stats.crashes, threaded->stats.crashes)
+        << "seed " << seed;
+    EXPECT_EQ(swept->stats.crashes, 2u) << "seed " << seed;
+    EXPECT_EQ(swept->stats.recovered_nodes, threaded->stats.recovered_nodes)
+        << "seed " << seed;
+    EXPECT_EQ(swept->stats.timeout_aborts, 0u) << "seed " << seed;
+    // The watchdog counts idle passes, so a loaded machine that starves a
+    // node thread can make it timeout-abort live work (ROADMAP, "Outcomes
+    // change only under faults"); only then may the values differ.
+    if (threaded->stats.timeout_aborts > 0) continue;
+    EXPECT_EQ(HomeValues(topo, swept->final_state, 4),
+              HomeValues(topo, threaded->final_state, 4))
+        << "seed " << seed;
+  }
+}
+
+TEST(InProcessHostTest, NeverRebornCrashDegradesOnBothSchedulers) {
+  // Node 2 is the home of t1, a subtransaction created at node 0 (its
+  // parent's home), and dies before its first pass, for good. t1 can
+  // neither commit nor be aborted there, so it is abandoned; t2, homed
+  // elsewhere, still commits, and the diagnosis names t1.
+  ActionRegistry reg;
+  ActionId top = reg.NewAction(kRootAction);
+  ActionId t1 = reg.NewAction(top);
+  reg.NewAccess(t1, 0, Update::Add(7));
+  ActionId t2 = reg.NewAction(kRootAction);
+  reg.NewAccess(t2, 1, Update::Add(5));
+  dist::Topology topo(
+      &reg, 3, [](ObjectId x) { return static_cast<NodeId>(x % 2); },
+      [&](ActionId a) { return reg.IsAncestor(t1, a) ? 2u : 0u; });
+  dist::DistAlgebra alg(&topo);
+  ParallelOptions opt;
+  opt.plan.crashes.push_back(faults::CrashSpec{
+      2, /*at_stamp=*/0, faults::CrashSpec::kNeverReborn});
+  opt.max_idle_spins = 1u << 14;
+  for (bool threads : {false, true}) {
+    auto run = threads ? RunParallel(alg, opt) : ChaosRunProgram(alg, opt);
+    ASSERT_TRUE(run.ok()) << run.status() << " threads " << threads;
+    EXPECT_FALSE(run->complete) << "threads " << threads;
+    EXPECT_EQ(run->stats.crashes, 1u) << "threads " << threads;
+    EXPECT_EQ(run->stats.recovered_nodes, 0u) << "threads " << threads;
+    auto abstract = ReplayAbstract(alg, run->events);
+    ASSERT_TRUE(abstract.ok()) << abstract.status();
+    EXPECT_TRUE(abstract->tree.IsCommitted(t2)) << "threads " << threads;
+    EXPECT_TRUE(abstract->tree.IsActive(t1)) << "threads " << threads;
+    EXPECT_FALSE(abstract->tree.IsCommitted(top)) << "threads " << threads;
+    bool names_t1 = false;
+    for (const StalledAction& sa : run->stalls.stalled) {
+      if (sa.action == t1) names_t1 = true;
+    }
+    EXPECT_TRUE(names_t1) << "threads " << threads << "\n"
+                          << run->stalls.ToString();
+  }
+}
+
+TEST(InProcessHostTest, DefaultOptionsShareTheNodeProcessWatchdog) {
+  // One options struct serves both schedulers, and its defaults are the
+  // NodeCore defaults an rnt_node process runs with.
+  const ParallelOptions options;
+  const NodeCore::Options core;
+  EXPECT_EQ(options.max_attempts_per_step, core.max_attempts_per_step);
+  EXPECT_EQ(options.max_idle_spins, core.max_idle_spins);
+  EXPECT_EQ(options.propagation, core.propagation);
+}
+
+TEST(InProcessHostTest, ThreadSchedulerRejectsCheckInvariants) {
+  ActionRegistry reg = MediumRegistry(5);
+  dist::Topology topo = dist::Topology::RoundRobin(&reg, 2);
+  dist::DistAlgebra alg(&topo);
+  ParallelOptions opt;
+  opt.check_invariants = true;
+  EXPECT_EQ(RunParallel(alg, opt).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ChaosRunProgram(alg, opt).ok());
 }
 
 TEST(ChaosDriverTest, ToFaultStatsProjectsCounters) {

@@ -276,6 +276,30 @@ TEST(MultiProcessTest, SurvivesCompoundingKillsAndPartitions) {
   ExpectStreamMatchesMerge(spec, dir.path(), *run);
 }
 
+TEST(MultiProcessTest, NeverRebornKillLeavesTheRunIncomplete) {
+  // A kNeverReborn crash means the same here as in-process: the node is
+  // killed (its late trigger fires on quiescence) and never comes back,
+  // the run still ends, and it is incomplete.
+  const ProgramSpec spec = SmallSpec(11);
+  faults::FaultPlan plan;
+  plan.crashes.push_back(faults::CrashSpec{
+      2, /*at_stamp=*/std::int64_t{1} << 40, faults::CrashSpec::kNeverReborn});
+  testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  SupervisorOptions opt;
+  opt.spec = spec;
+  opt.node_binary = RNT_NODE_BINARY;
+  opt.dir = dir.path();
+  opt.plan = plan;
+  auto run = RunMultiProcess(opt);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_FALSE(run->complete);
+  EXPECT_EQ(run->kills, 1);
+  EXPECT_EQ(run->stats.crashes, 1u);
+  EXPECT_EQ(run->stats.recovered_nodes, 0u);
+  EXPECT_GT(run->stats.rounds, 0) << "the busiest node's passes";
+}
+
 TEST(MultiProcessTest, DeterministicFaultsAreDeterministic) {
   // Two multi-process runs of the same spec + plan agree on the final
   // values (the fault schedule is seeded; the *interleaving* may differ,
